@@ -19,7 +19,7 @@ import numpy as np
 from . import separation
 from .instance import Instance
 from .lp import LpWorkspace
-from .model import build_evp, build_two_stage
+from .model import build_evp, build_two_stage, second_stage
 
 
 @dataclass
@@ -40,8 +40,9 @@ class SolveParams:
 class Solution:
     tours: list            # per vehicle, vertex ids, depot ... depot (or [])
     assignment: np.ndarray  # (|T|, n) binary
-    excess: np.ndarray      # (n, |Omega|) for stochastic, (n, 1) for evp
+    excess: np.ndarray      # (n, |Omega|) of the solved instance
     objective: float
+    travel: float           # first-stage part of the objective
     bound: float
     gap: float
     status: str             # "optimal" | "time_limit"
@@ -57,32 +58,6 @@ class SolveError(RuntimeError):
     pass
 
 
-def _closed_form_excess(instance: Instance, assignment, kind: str) -> np.ndarray:
-    """Minimal feasible second-stage values for a fixed assignment."""
-    tau, tau_bar = instance.scenarios.tau, instance.tau_bar
-    n = instance.num_vehicles
-    if kind == "stochastic":
-        excess = np.empty((n, instance.scenarios.num_scenarios))
-        for k in range(n):
-            diff = (tau[:, k, :] - tau_bar[:, k][:, None]) * assignment[:, k][:, None]
-            excess[k] = np.clip(diff.sum(axis=0), 0.0, None)
-    else:
-        exp_tau = instance.scenarios.expected_tau()
-        excess = np.empty((n, 1))
-        for k in range(n):
-            diff = (exp_tau[:, k] - tau_bar[:, k]) * assignment[:, k]
-            excess[k, 0] = max(0.0, float(diff.sum()))
-    return excess
-
-
-def _penalty_of_excess(instance: Instance, excess, kind: str) -> float:
-    gammas = np.array([v.gamma for v in instance.vehicles])
-    if kind == "stochastic":
-        prob = instance.scenarios.prob
-        return float(np.sum(prob[None, :] * gammas[:, None] * excess))
-    return float(np.sum(gammas * excess[:, 0]))
-
-
 def _tour_cost(cost_matrices, tours) -> float:
     total = 0.0
     for k, tour in enumerate(tours):
@@ -91,7 +66,7 @@ def _tour_cost(cost_matrices, tours) -> float:
     return total
 
 
-def greedy_incumbent(instance: Instance, cost_matrices, kind: str):
+def greedy_incumbent(instance: Instance, cost_matrices):
     """Cheap feasible start: nearest-insertion assignment, greedy tours.
 
     Required targets go to their vehicle; each common target joins the
@@ -139,12 +114,11 @@ def greedy_incumbent(instance: Instance, cost_matrices, kind: str):
     for k in range(n):
         for tgt in assigned[k]:
             assignment[tgt, k] = 1.0
-    excess = _closed_form_excess(instance, assignment, kind)
-    objective = _tour_cost(cost_matrices, tours) + _penalty_of_excess(
-        instance, excess, kind)
+    excess, penalty = second_stage(instance, assignment)
+    travel = _tour_cost(cost_matrices, tours)
     return Solution(tours=tours, assignment=assignment, excess=excess,
-                    objective=objective, bound=-math.inf, gap=math.inf,
-                    status="heuristic")
+                    objective=travel + penalty, travel=travel,
+                    bound=-math.inf, gap=math.inf, status="heuristic")
 
 
 def _extract_tours(instance: Instance, varmap, point, int_tol):
@@ -203,22 +177,22 @@ def solve(instance: Instance, params: SolveParams = None,
           model_kind: str = "stochastic") -> Solution:
     """Solve the two-stage model (or the EVP) to proven optimality.
 
-    Returns the incumbent with its bound and gap; status is "time_limit"
-    when the clock ran out before certification.
+    The EVP is the two-stage model of the mean-value instance, so the
+    returned excess has one column. Returns the incumbent with its bound and
+    gap; status is "time_limit" when the clock ran out before certification.
     """
     params = params or SolveParams()
     instance.validate()
-    t0 = time.monotonic()
-    if model_kind == "stochastic":
-        model, varmap = build_two_stage(instance)
-    elif model_kind == "evp":
-        model, varmap = build_evp(instance)
-    else:
+    build_model = {"stochastic": build_two_stage, "evp": build_evp}
+    if model_kind not in build_model:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    t0 = time.monotonic()
+    model, varmap = build_model[model_kind](instance)
+    instance = model.instance
     cost_matrices = model.cost_matrices
     ws = LpWorkspace(model)
 
-    incumbent = greedy_incumbent(instance, cost_matrices, model_kind)
+    incumbent = greedy_incumbent(instance, cost_matrices)
     incumbent_obj = incumbent.objective
     log = [{"event": "heuristic", "objective": incumbent_obj, "time": 0.0}]
 
@@ -232,7 +206,6 @@ def solve(instance: Instance, params: SolveParams = None,
     heap = [(-math.inf, seq, 0, {})]
     dive = []
     plunging = False
-    best_bound = -math.inf
     timed_out = False
     in_node = False
 
@@ -240,9 +213,11 @@ def solve(instance: Instance, params: SolveParams = None,
         return time.monotonic() - t0 > params.time_limit_s
 
     def open_bounds():
+        # the incumbent bounds the optimum too, and caps open nodes whose
+        # bounds it has overtaken since they were created
         vals = [b for b, *_ in heap]
         vals += [b for b, *_ in dive]
-        return vals
+        return vals + [incumbent_obj]
 
     def add_cuts(cuts):
         rows = []
@@ -308,14 +283,14 @@ def solve(instance: Instance, params: SolveParams = None,
                                        instance.num_vehicles))
                 for (i, k), col in varmap.y_index.items():
                     assignment[i, k] = round(float(point[col]))
-                excess = _closed_form_excess(instance, assignment, model_kind)
-                obj = _tour_cost(cost_matrices, tours) + _penalty_of_excess(
-                    instance, excess, model_kind)
+                excess, penalty = second_stage(instance, assignment)
+                travel = _tour_cost(cost_matrices, tours)
+                obj = travel + penalty
                 if obj < incumbent_obj - 1e-12:
                     incumbent = Solution(
                         tours=tours, assignment=assignment, excess=excess,
-                        objective=obj, bound=-math.inf, gap=math.inf,
-                        status="incumbent")
+                        objective=obj, travel=travel, bound=-math.inf,
+                        gap=math.inf, status="incumbent")
                     incumbent_obj = obj
                     plunging = True
                     log.append({"event": "incumbent", "objective": obj,
@@ -367,15 +342,14 @@ def solve(instance: Instance, params: SolveParams = None,
                     heapq.heappush(heap, child)
             break
 
+        if timed_out:
+            break
+        in_node = False  # node closed: pruned, accepted, or branched
+        best_bound = min(open_bounds())
         if params.node_log and stats["nodes"] % params.node_log == 0:
             log.append({"event": "node", "node": stats["nodes"],
                         "bound": best_bound, "incumbent": incumbent_obj,
                         "time": time.monotonic() - t0})
-        if timed_out:
-            break
-        in_node = False  # node closed: pruned, accepted, or branched
-        opened = open_bounds()
-        best_bound = min(opened) if opened else incumbent_obj
 
     if timed_out:
         # a valid global bound covers every open node plus, when the clock
@@ -383,7 +357,7 @@ def solve(instance: Instance, params: SolveParams = None,
         opened = open_bounds()
         if in_node:
             opened.append(node_bound)
-        best_bound = min(opened) if opened else incumbent_obj
+        best_bound = min(opened)
         status = "time_limit"
         if not math.isfinite(best_bound):
             best_bound = -math.inf
@@ -398,5 +372,6 @@ def solve(instance: Instance, params: SolveParams = None,
     return Solution(
         tours=incumbent.tours, assignment=incumbent.assignment,
         excess=incumbent.excess, objective=incumbent_obj,
-        bound=best_bound, gap=gap, status=status, stats=stats, log=log,
+        travel=incumbent.travel, bound=best_bound, gap=gap, status=status,
+        stats=stats, log=log,
     )

@@ -79,14 +79,12 @@ def cmd_generate(args) -> int:
 
 
 def _solution_record(instance, solution, mode):
-    from .model import objective_split
-    first_stage, expected_pen = objective_split(instance, solution)
     return {
         "instance": instance.name,
         "mode": mode,
         "objective": solution.objective,
-        "first_stage_cost": first_stage,
-        "expected_penalty": solution.objective - first_stage,
+        "first_stage_cost": solution.travel,
+        "expected_penalty": solution.objective - solution.travel,
         "gap": solution.gap,
         "bound": solution.bound,
         "status": solution.status,

@@ -2,11 +2,8 @@
 
 Backed by the HiGHS dual simplex via scipy.optimize.linprog. The workspace
 keeps a compiled sparse image of the model so that per-node solves only swap
-bound vectors, and appended cut rows extend the inequality block in place.
-
-A warm basis is accepted everywhere and carried through as a descriptor, but
-the current backend re-solves from scratch; reoptimization equivalence with a
-cold solve is therefore structural rather than incremental.
+bound vectors, and appended cut rows extend the constraint blocks. Every
+solve starts HiGHS from scratch: no basis is carried between solves.
 """
 
 from __future__ import annotations
@@ -32,16 +29,7 @@ class LpSolution:
     primal: np.ndarray
     dual: np.ndarray  # d(objective)/d(rhs), in model row order
     objective: float
-    basis: object = None
     reduced_costs: np.ndarray = None
-
-
-class Basis:
-    """Opaque warm-start descriptor: nonbasic-at-bound flags per column."""
-
-    def __init__(self, at_lower, at_upper):
-        self.at_lower = at_lower
-        self.at_upper = at_upper
 
 
 class LpWorkspace:
@@ -121,8 +109,8 @@ class LpWorkspace:
                 [self.b_ub, rhs])
         self.num_model_rows += len(rows)
 
-    def solve(self, lb=None, ub=None, warm=None) -> LpSolution:
-        """Solve with optional bound overrides; warm basis is advisory."""
+    def solve(self, lb=None, ub=None) -> LpSolution:
+        """Solve with optional column-bound overrides."""
         lo = self.lb if lb is None else lb
         hi = self.ub if ub is None else ub
         res = linprog(
@@ -141,13 +129,8 @@ class LpWorkspace:
             marg = res.eqlin.marginals if block == "eq" else res.ineqlin.marginals
             dual[r] = sign * marg[idx]
         rc = res.lower.marginals + res.upper.marginals
-        basis = Basis(
-            at_lower=np.abs(res.lower.marginals) > 1e-11,
-            at_upper=np.abs(res.upper.marginals) > 1e-11,
-        )
         return LpSolution(status="optimal", primal=res.x, dual=dual,
-                          objective=float(res.fun), basis=basis,
-                          reduced_costs=rc)
+                          objective=float(res.fun), reduced_costs=rc)
 
     def residuals(self, sol: LpSolution):
         """(max primal row residual, max dual stationarity residual, rel gap)."""
@@ -176,14 +159,3 @@ class LpWorkspace:
         dual_obj += float(np.sum(np.where(np.isfinite(self.ub), neg * np.where(np.isfinite(self.ub), self.ub, 0.0), 0.0)))
         gap = abs(sol.objective - dual_obj) / max(1.0, abs(sol.objective))
         return primal, dual_resid, gap
-
-
-def solve_lp(model, warm=None) -> LpSolution:
-    """One-shot solve of a LinearModel's LP relaxation."""
-    return LpWorkspace(model).solve(warm=warm)
-
-
-def add_rows_and_reoptimize(workspace: LpWorkspace, new_rows) -> LpSolution:
-    """Extend a previously solved workspace with rows and solve again."""
-    workspace.add_rows(new_rows)
-    return workspace.solve()

@@ -1,9 +1,10 @@
-"""MILP builders: the two-stage stochastic model and its expected-value twin.
+"""The two-stage stochastic MILP, its closed-form second stage, and the EVP.
 
 Variables per vehicle k: arc binaries x over T union {d_k} (arcs touching
 other depots are never created), assignment binaries y_i^k, continuous excess
-z (per scenario in the stochastic model, one per vehicle in the EVP), and a
-binary depot-activation h_k that lets an unused vehicle stay home.
+z per scenario, and a binary depot-activation h_k that lets an unused vehicle
+stay home. The expected-value problem (EVP) is the same model built on the
+instance whose one scenario is the mean service time.
 
 Subtour-elimination rows are intentionally absent; they are separated lazily
 by the branch-and-cut engine.
@@ -11,12 +12,12 @@ by the branch-and-cut engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dubins
-from .instance import Instance
+from .instance import Instance, ScenarioSet
 
 
 @dataclass
@@ -36,8 +37,7 @@ class LinearModel:
     is_int: np.ndarray
     col_names: list
     rows: list
-    kind: str  # "stochastic" | "evp"
-    instance_name: str = ""
+    instance: Instance = None  # the instance the model was built from
     cost_matrices: dict = field(default_factory=dict)  # vehicle -> np.ndarray
 
     @property
@@ -49,7 +49,7 @@ class LinearModel:
 class VariableMap:
     x_index: dict  # (k, i, j) -> col, vertex ids
     y_index: dict  # (i, k) -> col
-    z_index: dict  # (k, w) -> col, or (k,) -> col for the EVP
+    z_index: dict  # (k, w) -> col
     h_index: dict  # k -> col
 
 
@@ -65,11 +65,12 @@ def vehicle_cost_matrix(instance: Instance, k: int) -> np.ndarray:
     return dubins.cost_matrix(poses, instance.vehicles[k].turn_radius)
 
 
-def _build(instance: Instance, kind: str):
+def build_two_stage(instance: Instance):
+    """Two-stage stochastic MILP with per-scenario excess variables."""
     instance.validate()
     nt, n = instance.num_targets, instance.num_vehicles
     num_scen = instance.scenarios.num_scenarios
-    prob = instance.scenarios.prob
+    tau, prob = instance.scenarios.tau, instance.scenarios.prob
 
     cost = {k: vehicle_cost_matrix(instance, k) for k in range(n)}
 
@@ -106,17 +107,11 @@ def _build(instance: Instance, kind: str):
                 f"y_{i}_{k}", 0.0, lo if lo is not None else 0.0,
                 hi if hi is not None else 1.0, True
             )
-    if kind == "stochastic":
-        for k in range(n):
-            gamma = instance.vehicles[k].gamma
-            for w in range(num_scen):
-                z_index[(k, w)] = add_col(
-                    f"z_{k}_{w}", float(prob[w]) * gamma, 0.0, np.inf, False
-                )
-    else:
-        for k in range(n):
-            z_index[(k,)] = add_col(
-                f"z_{k}", instance.vehicles[k].gamma, 0.0, np.inf, False
+    for k in range(n):
+        gamma = instance.vehicles[k].gamma
+        for w in range(num_scen):
+            z_index[(k, w)] = add_col(
+                f"z_{k}_{w}", float(prob[w]) * gamma, 0.0, np.inf, False
             )
     for k in range(n):
         h_index[k] = add_col(f"h_{k}", 0.0, 0.0, 1.0, True)
@@ -140,23 +135,13 @@ def _build(instance: Instance, kind: str):
             cols=[y_index[(i, k)] for k in range(n)],
             coefs=[1.0] * n, sense="=", rhs=1.0, name=f"assign_{i}",
         ))
-    if kind == "stochastic":
-        for k in range(n):
-            for w in range(num_scen):
-                rows.append(Row(
-                    cols=[y_index[(i, k)] for i in range(nt)] + [z_index[(k, w)]],
-                    coefs=[float(instance.tau_bar[i, k] - instance.scenarios.tau[i, k, w])
-                           for i in range(nt)] + [1.0],
-                    sense=">=", rhs=0.0, name=f"service_{k}_{w}",
-                ))
-    else:
-        exp_tau = instance.scenarios.expected_tau()
-        for k in range(n):
+    for k in range(n):
+        for w in range(num_scen):
             rows.append(Row(
-                cols=[y_index[(i, k)] for i in range(nt)] + [z_index[(k,)]],
-                coefs=[float(instance.tau_bar[i, k] - exp_tau[i, k])
+                cols=[y_index[(i, k)] for i in range(nt)] + [z_index[(k, w)]],
+                coefs=[float(instance.tau_bar[i, k] - tau[i, k, w])
                        for i in range(nt)] + [1.0],
-                sense=">=", rhs=0.0, name=f"service_{k}",
+                sense=">=", rhs=0.0, name=f"service_{k}_{w}",
             ))
     for k in range(n):
         d = instance.depot_vertex(k)
@@ -178,73 +163,35 @@ def _build(instance: Instance, kind: str):
     model = LinearModel(
         obj=np.array(obj), lb=np.array(lb), ub=np.array(ub),
         is_int=np.array(is_int, dtype=bool), col_names=names, rows=rows,
-        kind=kind, instance_name=instance.name, cost_matrices=cost,
+        instance=instance, cost_matrices=cost,
     )
     varmap = VariableMap(x_index=x_index, y_index=y_index,
                          z_index=z_index, h_index=h_index)
     return model, varmap
 
 
-def build_two_stage(instance: Instance):
-    """Two-stage stochastic MILP with per-scenario excess variables."""
-    return _build(instance, "stochastic")
+def second_stage(instance: Instance, y):
+    """Optimal second stage of a fixed assignment y (|T|, n).
+
+    Returns the (n, |Omega|) excess, the smallest z that satisfies every
+    service row, max(0, sum_i (tau_ikw - tau_bar_ik) y_ik), and its expected
+    penalty sum_w p_w sum_k gamma_k excess_kw. Surplus at one target offsets
+    excess at another because the budget caps the vehicle's total.
+    """
+    tau, prob = instance.scenarios.tau, instance.scenarios.prob
+    gamma = np.array([v.gamma for v in instance.vehicles])
+    diff = (tau - instance.tau_bar[:, :, None]) * y[:, :, None]
+    excess = np.clip(diff.sum(axis=0), 0.0, None)
+    return excess, float(np.sum(prob[None, :] * gamma[:, None] * excess))
+
+
+def expected_value_instance(instance: Instance) -> Instance:
+    """The instance with its scenarios replaced by their mean, at probability 1."""
+    mean = ScenarioSet(tau=instance.scenarios.expected_tau()[:, :, None],
+                       prob=np.ones(1))
+    return replace(instance, scenarios=mean)
 
 
 def build_evp(instance: Instance):
-    """Expected-value problem: scenarios collapsed to their mean."""
-    return _build(instance, "evp")
-
-
-def objective_split(instance: Instance, solution):
-    """(first-stage travel cost, expected penalty) of a Solution."""
-    cost = {k: vehicle_cost_matrix(instance, k)
-            for k in range(instance.num_vehicles)}
-    first_stage = 0.0
-    for k, tour in enumerate(solution.tours):
-        for u, v in zip(tour, tour[1:]):
-            first_stage += float(cost[k][u, v])
-    prob = instance.scenarios.prob
-    gammas = np.array([v.gamma for v in instance.vehicles])
-    expected_penalty = float(np.sum(prob[None, :] * gammas[:, None] * solution.excess))
-    return first_stage, expected_penalty
-
-
-def to_mps(model: LinearModel) -> str:
-    """Free-format MPS export for cross-checking against external solvers."""
-    out = [f"NAME {model.instance_name or 'model'}", "ROWS", " N  COST"]
-    sense_code = {"<=": "L", ">=": "G", "=": "E"}
-    for idx, row in enumerate(model.rows):
-        out.append(f" {sense_code[row.sense]}  R{idx}")
-    out.append("COLUMNS")
-    col_rows = [[] for _ in range(model.num_cols)]
-    for idx, row in enumerate(model.rows):
-        for c, a in zip(row.cols, row.coefs):
-            col_rows[c].append((idx, a))
-    in_int = False
-    for c in range(model.num_cols):
-        if model.is_int[c] != in_int:
-            marker = "INTORG" if model.is_int[c] else "INTEND"
-            out.append(f"    MARKER                 'MARKER'                 '{marker}'")
-            in_int = bool(model.is_int[c])
-        name = model.col_names[c]
-        if model.obj[c] != 0.0:
-            out.append(f"    {name}  COST  {model.obj[c]!r}")
-        for idx, a in col_rows[c]:
-            out.append(f"    {name}  R{idx}  {a!r}")
-    if in_int:
-        out.append("    MARKER                 'MARKER'                 'INTEND'")
-    out.append("RHS")
-    for idx, row in enumerate(model.rows):
-        if row.rhs != 0.0:
-            out.append(f"    RHS  R{idx}  {row.rhs!r}")
-    out.append("BOUNDS")
-    for c in range(model.num_cols):
-        name = model.col_names[c]
-        if np.isinf(model.ub[c]):
-            if model.lb[c] != 0.0:
-                out.append(f" LO BND  {name}  {model.lb[c]!r}")
-        else:
-            out.append(f" LO BND  {name}  {model.lb[c]!r}")
-            out.append(f" UP BND  {name}  {model.ub[c]!r}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    """Expected-value problem: the two-stage model of the mean instance."""
+    return build_two_stage(expected_value_instance(instance))

@@ -48,11 +48,11 @@ def brute_force_solve(instance: Instance, kind: str = "stochastic") -> Solution:
 
     cost = {k: model.vehicle_cost_matrix(instance, k) for k in range(n)}
     gammas = np.array([v.gamma for v in instance.vehicles])
-    prob = instance.scenarios.prob
-    tau, tau_bar = instance.scenarios.tau, instance.tau_bar
-    if kind == "evp":
-        tau = instance.scenarios.expected_tau()[:, :, None]
-        prob = np.array([1.0])
+    scen, tau_bar = instance.scenarios, instance.tau_bar
+    tau, prob = {
+        "stochastic": (scen.tau, scen.prob),
+        "evp": (scen.expected_tau()[:, :, None], np.array([1.0])),
+    }[kind]
 
     tour_memo = {}
 
@@ -83,26 +83,27 @@ def brute_force_solve(instance: Instance, kind: str = "stochastic") -> Solution:
         sets = [set(instance.required[k]) for k in range(n)]
         for tgt, k in zip(common, choice):
             sets[k].add(tgt)
-        total = 0.0
+        total = travel = 0.0
         pieces = []
         for k in range(n):
             targets = frozenset(sets[k])
-            travel, tour = tour_for(k, targets)
+            length, tour = tour_for(k, targets)
             pen, excess = penalty_for(k, targets)
-            total += travel + pen
+            total += length + pen
+            travel += length
             pieces.append((tour, excess))
         if best is None or total < best[0] - 1e-12:
-            best = (total, [p[0] for p in pieces],
+            best = (total, travel, [p[0] for p in pieces],
                     np.array([p[1] for p in pieces]), sets)
 
-    total, tours, excess, sets = best
+    total, travel, tours, excess, sets = best
     assignment = np.zeros((nt, n))
     for k in range(n):
         for i in sets[k]:
             assignment[i, k] = 1.0
     return Solution(tours=tours, assignment=assignment, excess=excess,
-                    objective=total, bound=total, gap=0.0, status="optimal",
-                    stats={"method": "brute_force"})
+                    objective=total, travel=travel, bound=total, gap=0.0,
+                    status="optimal", stats={"method": "brute_force"})
 
 
 def brute_force_min_cut(vertices, arcs, s, t):

@@ -1,8 +1,7 @@
-"""Second-stage evaluation in closed form, fixed-first-stage scoring, VSS.
+"""Pricing a given plan: assignment checks, fixed-first-stage scoring, VSS.
 
-For a fixed assignment the minimal feasible excess of vehicle k in scenario w
-is max(0, sum_i (tau_ikw - tau_bar_ik) y_ik): the budget applies to the TOTAL
-service time, so surplus at one target offsets excess at another.
+The second stage of a fixed assignment is `model.second_stage`; this module
+validates plans that come from outside the solver before pricing them.
 """
 
 from __future__ import annotations
@@ -41,23 +40,10 @@ def _check_assignment(instance: Instance, y) -> np.ndarray:
     return y
 
 
-def recourse_value(instance: Instance, y, scenario: int) -> np.ndarray:
-    """Per-vehicle excess z for one scenario at a fixed assignment."""
-    y = _check_assignment(instance, y)
-    tau = instance.scenarios.tau[:, :, scenario]
-    diff = (tau - instance.tau_bar) * y
-    return np.clip(diff.sum(axis=0), 0.0, None)
-
-
 def expected_penalty(instance: Instance, y) -> float:
-    """Probability-weighted penalty over all scenarios (scenario-major sum)."""
+    """Probability-weighted penalty of assignment y, after checking y."""
     y = _check_assignment(instance, y)
-    gammas = np.array([v.gamma for v in instance.vehicles])
-    total = 0.0
-    for w in range(instance.scenarios.num_scenarios):
-        zw = recourse_value(instance, y, w)
-        total += float(instance.scenarios.prob[w]) * float(np.dot(gammas, zw))
-    return total
+    return model.second_stage(instance, y)[1]
 
 
 def _check_first_stage(instance: Instance, tours, y):
@@ -124,8 +110,6 @@ def compute_vss(instance: Instance, params=None) -> VssReport:
     evp = bnc.solve(instance, params, model_kind="evp")
     d_star = evaluate_fixed_first_stage(instance, evp.tours, evp.assignment)
     s_star = stoch.objective
-    stoch_first, _ = model.objective_split(instance, stoch)
-    evp_first = d_star - expected_penalty(instance, evp.assignment)
     certified = stoch.certified and evp.certified
     bounds = None
     if not certified:
@@ -134,7 +118,7 @@ def compute_vss(instance: Instance, params=None) -> VssReport:
     return VssReport(
         s_star=s_star, d_star=d_star, vss=d_star - s_star,
         evp_objective=evp.objective,
-        stochastic_first_stage=stoch_first, evp_first_stage=evp_first,
+        stochastic_first_stage=stoch.travel, evp_first_stage=evp.travel,
         certified=certified, stochastic_solution=stoch, evp_solution=evp,
         bounds=bounds,
     )

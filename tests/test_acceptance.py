@@ -17,10 +17,10 @@ from stochroute import (GenerationConfig, SolveParams, generate_instance,
                         solve)
 from stochroute.dubins import Pose, WORDS, shortest_path, word_candidate
 from stochroute.instance import Vehicle
-from stochroute.lp import LpWorkspace, add_rows_and_reoptimize, solve_lp
-from stochroute.model import Row, build_two_stage
+from stochroute.lp import LpWorkspace
+from stochroute.model import Row, build_two_stage, second_stage
 from stochroute.oracle import brute_force_min_cut, brute_force_solve
-from stochroute.recourse import compute_vss, expected_penalty, recourse_value
+from stochroute.recourse import compute_vss, expected_penalty
 from stochroute.separation import (build_support_graph, cut_row,
                                    cut_violation, max_flow,
                                    separate_fractional, separate_integer)
@@ -190,7 +190,7 @@ def test_criterion_6_lp_soundness(capsys):
     models = []
     while len(models) < 40:
         m = random_lp(rng)
-        if solve_lp(m).status == "optimal":
+        if LpWorkspace(m).solve().status == "optimal":
             models.append(m)
     for seed in range(510, 520):
         inst = random_instance(seed, nt=4, n=2, num_scenarios=2)
@@ -204,8 +204,9 @@ def test_criterion_6_lp_soundness(capsys):
         worst_gap = max(worst_gap, gap)
         extra = Row(cols=[0, 1], coefs=[1.0, 1.0], sense="<=",
                     rhs=float(sol.primal[0] + sol.primal[1] + 1.0))
-        warm = add_rows_and_reoptimize(ws, [extra])
-        cold = solve_lp(ws.model)
+        ws.add_rows([extra])
+        warm = ws.solve()
+        cold = LpWorkspace(ws.model).solve()
         if warm.status == "optimal":
             worst_warm = max(worst_warm,
                              abs(warm.objective - cold.objective)
@@ -285,13 +286,13 @@ def test_criterion_8_closed_form_recourse(capsys):
         frozen = dataclasses.replace(
             model, lb=lb, ub=ub, is_int=np.zeros_like(model.is_int),
             rows=[r for r in model.rows if r.name.startswith("service_")])
-        lp = solve_lp(frozen)
+        lp = LpWorkspace(frozen).solve()
         assert lp.status == "optimal"
         closed = expected_penalty(inst, y)
         worst = max(worst, abs(lp.objective - closed))
+        excess, _ = second_stage(inst, y)
         for (k, w), col in varmap.z_index.items():
-            worst = max(worst, abs(lp.primal[col]
-                                   - recourse_value(inst, y, w)[k]))
+            worst = max(worst, abs(lp.primal[col] - excess[k, w]))
     ok = worst <= 1e-9
     report(capsys, 8, ok,
            f"100 fixed-assignment LPs, max deviation {worst:.2e}")

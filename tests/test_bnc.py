@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from stochroute import SolveParams, solve
-from stochroute.bnc import (SolveError, _branch_candidate, _closed_form_excess,
-                            greedy_incumbent)
-from stochroute.model import (build_two_stage, vehicle_cost_matrix,
+from stochroute.bnc import SolveError, _branch_candidate, greedy_incumbent
+from stochroute.model import (build_two_stage, expected_value_instance,
+                              second_stage, vehicle_cost_matrix,
                               vehicle_vertices)
 from stochroute.oracle import brute_force_solve
 from stochroute.recourse import evaluate_fixed_first_stage
@@ -105,6 +107,18 @@ def test_stats_are_populated():
     assert any(e["event"] == "incumbent" for e in sol.log)
 
 
+def test_node_log_reports_the_current_bound():
+    inst = random_instance(54, nt=7, n=2, num_scenarios=3, f=1)
+    sol = solve(inst, SolveParams(node_log=1))
+    bounds = [e["bound"] for e in sol.log if e["event"] == "node"]
+    assert len(bounds) == sol.stats["nodes"] > 1
+    tol = 1e-9 * max(1.0, abs(sol.objective))
+    assert all(math.isfinite(b) for b in bounds)
+    assert all(later >= earlier - tol
+               for earlier, later in zip(bounds, bounds[1:]))
+    assert max(bounds) <= sol.objective + tol
+
+
 def test_incumbent_objectives_decrease():
     inst = random_instance(54, nt=7, n=2, num_scenarios=3, f=1)
     sol = solve(inst, SolveParams())
@@ -119,7 +133,7 @@ def test_greedy_incumbent_is_feasible():
         inst = random_instance(seed + 60, nt=6, n=3, num_scenarios=3, f=1)
         cost = [vehicle_cost_matrix(inst, k)
                 for k in range(inst.num_vehicles)]
-        start = greedy_incumbent(inst, cost, "stochastic")
+        start = greedy_incumbent(inst, cost)
         check_solution_shape(inst, start)
         again = evaluate_fixed_first_stage(inst, start.tours,
                                            start.assignment)
@@ -154,12 +168,13 @@ def test_closed_form_excess_hand_example():
         tau_bar=np.array([[4.0], [5.0]]),
     )
     assignment = np.ones((2, 1))
-    excess = _closed_form_excess(inst, assignment, "stochastic")
+    excess, _ = second_stage(inst, assignment)
     # scenario 0: (6-4)+(7-5)=4; scenario 1: (1-4)+(2-5)=-6 -> 0
     assert excess[0, 0] == pytest.approx(4.0)
     assert excess[0, 1] == pytest.approx(0.0)
-    evp = _closed_form_excess(inst, assignment, "evp")
+    evp, _ = second_stage(expected_value_instance(inst), assignment)
     # expected tau (3.5, 4.5) vs caps (4, 5): -0.5 - 0.5 -> 0
+    assert evp.shape == (1, 1)
     assert evp[0, 0] == pytest.approx(0.0)
 
 

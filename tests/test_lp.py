@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stochroute.lp import LpWorkspace, add_rows_and_reoptimize, solve_lp
+from stochroute.lp import LpWorkspace
 from stochroute.model import LinearModel, Row, build_two_stage
 from tests.conftest import random_instance
 
@@ -13,7 +13,7 @@ def make_lp(obj, lb, ub, rows):
     return LinearModel(
         obj=np.array(obj, float), lb=np.array(lb, float),
         ub=np.array(ub, float), is_int=np.zeros(n, bool),
-        col_names=[f"c{i}" for i in range(n)], rows=rows, kind="stochastic",
+        col_names=[f"c{i}" for i in range(n)], rows=rows,
     )
 
 
@@ -31,7 +31,7 @@ def random_lp(rng, n_cols=6, n_rows=4):
 
 def test_simple_bound_lp():
     m = make_lp([-1.0], [0.0], [10.0], [Row([0], [1.0], "<=", 3.0)])
-    sol = solve_lp(m)
+    sol = LpWorkspace(m).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.0)
     assert sol.primal[0] == pytest.approx(3.0)
@@ -47,7 +47,7 @@ def test_matches_vertex_enumeration():
     rows = [Row(list(range(5)), A[r].tolist(), "=", float(b[r]))
             for r in range(3)]
     m = make_lp(c, np.zeros(5), ub, rows)
-    sol = solve_lp(m)
+    sol = LpWorkspace(m).solve()
     assert sol.status == "optimal"
 
     best = np.inf
@@ -74,7 +74,7 @@ def test_relaxation_bounds_integer_optimum():
     from stochroute import SolveParams, solve
     inst = random_instance(21, nt=5, n=2, num_scenarios=3)
     model, _ = build_two_stage(inst)
-    lp = solve_lp(model)
+    lp = LpWorkspace(model).solve()
     mip = solve(inst, SolveParams())
     assert lp.objective <= mip.objective + 1e-6
 
@@ -84,7 +84,8 @@ def test_add_satisfied_row_keeps_objective():
                 [Row([0, 1], [1.0, 1.0], ">=", 2.0)])
     ws = LpWorkspace(m)
     first = ws.solve()
-    sol = add_rows_and_reoptimize(ws, [Row([0, 1], [1.0, 1.0], "<=", 10.0)])
+    ws.add_rows([Row([0, 1], [1.0, 1.0], "<=", 10.0)])
+    sol = ws.solve()
     assert sol.objective == pytest.approx(first.objective)
 
 
@@ -93,7 +94,8 @@ def test_add_violated_cut_increases_objective():
                 [Row([0, 1], [1.0, 1.0], ">=", 2.0)])
     ws = LpWorkspace(m)
     first = ws.solve()
-    sol = add_rows_and_reoptimize(ws, [Row([0], [1.0], ">=", 3.0)])
+    ws.add_rows([Row([0], [1.0], ">=", 3.0)])
+    sol = ws.solve()
     assert sol.objective >= first.objective - 1e-12
     assert sol.objective == pytest.approx(3.0)
 
@@ -102,13 +104,14 @@ def test_added_row_causing_infeasibility():
     m = make_lp([1.0], [0.0], [5.0], [])
     ws = LpWorkspace(m)
     assert ws.solve().status == "optimal"
-    sol = add_rows_and_reoptimize(ws, [Row([0], [1.0], ">=", 6.0)])
+    ws.add_rows([Row([0], [1.0], ">=", 6.0)])
+    sol = ws.solve()
     assert sol.status == "infeasible"
 
 
 def test_unbounded_status():
     m = make_lp([-1.0], [0.0], [np.inf], [])
-    assert solve_lp(m).status == "unbounded"
+    assert LpWorkspace(m).solve().status == "unbounded"
 
 
 def test_reoptimization_matches_cold_solve():
@@ -120,8 +123,9 @@ def test_reoptimization_matches_cold_solve():
             continue
         extra = [Row([0, 1], rng.uniform(-1, 1, 2).tolist(), "<=",
                      float(rng.uniform(0, 5)))]
-        warm = add_rows_and_reoptimize(ws, extra)
-        cold = solve_lp(ws.model)
+        ws.add_rows(extra)
+        warm = ws.solve()
+        cold = LpWorkspace(ws.model).solve()
         if warm.status == "optimal":
             assert cold.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, rel=1e-6)

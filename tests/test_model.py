@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stochroute import (GenerationConfig, SolveParams, build_evp,
-                        build_two_stage, generate_instance, objective_split,
-                        solve)
+                        build_two_stage, generate_instance, solve)
 from stochroute.instance import Instance, ScenarioSet, Vehicle
 from stochroute.dubins import Pose
-from stochroute.model import to_mps, vehicle_cost_matrix
+from stochroute.model import second_stage, vehicle_cost_matrix
 
 
 def make_instance(nt, n, num_scen, seed=0, f=0):
@@ -97,7 +96,8 @@ def test_objective_coefficients():
         assert model.obj[col] == pytest.approx(
             inst.scenarios.prob[w] * inst.vehicles[k].gamma)
     evp_model, evp_map = build_evp(inst)
-    for (k,), col in evp_map.z_index.items():
+    assert sorted(evp_map.z_index) == [(0, 0), (1, 0)]
+    for (k, w), col in evp_map.z_index.items():
         assert evp_model.obj[col] == pytest.approx(inst.vehicles[k].gamma)
 
 
@@ -145,22 +145,19 @@ def test_single_target_round_trip_objective():
     c = vehicle_cost_matrix(inst, 0)
     d = inst.depot_vertex(0)
     assert sol.objective == pytest.approx(c[d, 0] + c[0, d], rel=1e-9)
-    first, penalty = objective_split(inst, sol)
-    assert penalty == pytest.approx(0.0, abs=1e-12)
+    assert sol.travel == pytest.approx(c[d, 0] + c[0, d], rel=1e-9)
+    assert second_stage(inst, sol.assignment)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_split_consistency():
     inst = make_instance(5, 2, 6, seed=9, f=1)
-    sol = solve(inst, SolveParams())
-    first, penalty = objective_split(inst, sol)
-    assert first + penalty == pytest.approx(sol.objective, rel=1e-6)
-
-
-def test_mps_export_mentions_all_columns():
-    inst = make_instance(3, 1, 2)
-    model, _ = build_two_stage(inst)
-    text = to_mps(model)
-    for name in model.col_names:
-        assert name in text
-    assert text.startswith("NAME")
-    assert "ENDATA" in text
+    for kind in ("stochastic", "evp"):
+        sol = solve(inst, SolveParams(), model_kind=kind)
+        cost = {k: vehicle_cost_matrix(inst, k) for k in range(2)}
+        travel = sum(float(cost[k][u, v]) for k, tour in enumerate(sol.tours)
+                     for u, v in zip(tour, tour[1:]))
+        assert sol.travel == pytest.approx(travel, rel=1e-12)
+        weights = inst.scenarios.prob if kind == "stochastic" else np.ones(1)
+        gamma = np.array([v.gamma for v in inst.vehicles])
+        penalty = float(weights @ (gamma @ sol.excess))
+        assert sol.travel + penalty == pytest.approx(sol.objective, rel=1e-9)

@@ -6,11 +6,11 @@ import pytest
 from stochroute import SolveParams, solve
 from stochroute.instance import Instance, ScenarioSet, Vehicle
 from stochroute.dubins import Pose
-from stochroute.lp import solve_lp
-from stochroute.model import build_two_stage
+from stochroute.lp import LpWorkspace
+from stochroute.model import build_two_stage, second_stage
 from stochroute.recourse import (AssignmentError, FirstStageError,
                                  compute_vss, evaluate_fixed_first_stage,
-                                 expected_penalty, recourse_value)
+                                 expected_penalty)
 from tests.conftest import random_instance
 
 
@@ -33,7 +33,7 @@ def test_surplus_offsets_excess():
     # one target runs 2 over budget, the other 5 under: net excess is zero
     inst = two_target_instance(tau=[[[6.0]], [[0.0]]], tau_bar=[[4.0], [5.0]])
     y = np.ones((2, 1))
-    assert recourse_value(inst, y, 0)[0] == pytest.approx(0.0)
+    assert second_stage(inst, y)[0][0, 0] == pytest.approx(0.0)
 
 
 def test_hand_penalty_arithmetic():
@@ -42,8 +42,10 @@ def test_hand_penalty_arithmetic():
     inst = two_target_instance(tau=[[[6.0, 1.0]], [[7.0, 2.0]]],
                                tau_bar=[[4.0], [5.0]])
     y = np.ones((2, 1))
-    assert recourse_value(inst, y, 0)[0] == pytest.approx(4.0)
-    assert recourse_value(inst, y, 1)[0] == pytest.approx(0.0)
+    excess, penalty = second_stage(inst, y)
+    assert excess[0, 0] == pytest.approx(4.0)
+    assert excess[0, 1] == pytest.approx(0.0)
+    assert penalty == pytest.approx(2000.0)
     assert expected_penalty(inst, y) == pytest.approx(2000.0)
 
 
@@ -51,8 +53,8 @@ def test_unassigned_target_contributes_nothing():
     inst = random_instance(1, nt=4, n=2, num_scenarios=3, f=0)
     y = np.zeros((4, 2))
     y[:, 0] = 1.0
-    z = recourse_value(inst, y, 0)
-    assert z[1] == 0.0
+    excess, _ = second_stage(inst, y)
+    assert np.all(excess[1] == 0.0)
 
 
 def test_assignment_validation():
@@ -60,18 +62,18 @@ def test_assignment_validation():
     good = np.zeros((4, 2))
     good[:, 0] = 1.0
     with pytest.raises(AssignmentError, match="shape"):
-        recourse_value(inst, np.zeros((3, 2)), 0)
+        expected_penalty(inst, np.zeros((3, 2)))
     with pytest.raises(AssignmentError, match="binary"):
-        recourse_value(inst, np.full((4, 2), 0.5), 0)
+        expected_penalty(inst, np.full((4, 2), 0.5))
     bad = good.copy()
     bad[0, 1] = 1.0
     with pytest.raises(AssignmentError, match="exactly one"):
-        recourse_value(inst, bad, 0)
+        expected_penalty(inst, bad)
     req_k, req_i = next((k, min(r)) for k, r in enumerate(inst.required) if r)
     pinned_wrong = np.zeros((4, 2))
     pinned_wrong[:, 1 - req_k] = 1.0
     with pytest.raises(AssignmentError, match="required"):
-        recourse_value(inst, pinned_wrong, 0)
+        expected_penalty(inst, pinned_wrong)
 
 
 def test_closed_form_matches_lp_with_frozen_first_stage():
@@ -97,13 +99,13 @@ def test_closed_form_matches_lp_with_frozen_first_stage():
             lb[col] = ub[col] = 1.0 if sol.tours[k] else 0.0
         frozen = dataclasses.replace(model, lb=lb, ub=ub,
                                      is_int=np.zeros_like(model.is_int))
-        lp = solve_lp(frozen)
+        lp = LpWorkspace(frozen).solve()
         assert lp.status == "optimal"
         closed = evaluate_fixed_first_stage(inst, sol.tours, sol.assignment)
         assert lp.objective == pytest.approx(closed, abs=1e-9 * max(1, closed))
+        excess, _ = second_stage(inst, sol.assignment)
         for (k, w), col in varmap.z_index.items():
-            assert lp.primal[col] == pytest.approx(
-                recourse_value(inst, sol.assignment, w)[k], abs=1e-7)
+            assert lp.primal[col] == pytest.approx(excess[k, w], abs=1e-7)
 
 
 def test_first_stage_rejects_subtours():
