@@ -45,7 +45,7 @@ class Solution:
     travel: float           # first-stage part of the objective
     bound: float
     gap: float
-    status: str             # "optimal" | "time_limit"
+    status: str             # "optimal" | "time_limit" | "numerical_error"
     stats: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
 
@@ -179,7 +179,9 @@ def solve(instance: Instance, params: SolveParams = None,
 
     The EVP is the two-stage model of the mean-value instance, so the
     returned excess has one column. Returns the incumbent with its bound and
-    gap; status is "time_limit" when the clock ran out before certification.
+    gap. Status is "time_limit" when the clock or the node limit ran out
+    before certification, and "numerical_error" when a node's LP failed even
+    after a cold retry.
     """
     params = params or SolveParams()
     instance.validate()
@@ -198,15 +200,16 @@ def solve(instance: Instance, params: SolveParams = None,
 
     cut_pool = set()  # (vehicle, set_S) pairs already added
     stats = {"nodes": 0, "lp_solves": 0, "cuts_added": 0,
-             "integer_separations": 0, "fractional_separations": 0}
+             "integer_separations": 0, "fractional_separations": 0,
+             "lp_failures": 0}
 
     base_lb, base_ub = ws.lb.copy(), ws.ub.copy()
-    # node: (bound, seq, depth, fixings {col: (lb, ub)})
+    # node: (bound, seq, depth, fixings {col: (lb, ub)}, parent's LP basis)
     seq = 0
-    heap = [(-math.inf, seq, 0, {})]
+    heap = [(-math.inf, seq, 0, {}, None)]
     dive = []
     plunging = False
-    timed_out = False
+    stopped = None  # "time_limit" | "numerical_error" when the search quits
     in_node = False
 
     def out_of_time():
@@ -232,17 +235,25 @@ def solve(instance: Instance, params: SolveParams = None,
             stats["cuts_added"] += len(rows)
         return bool(rows)
 
+    def solve_lp(lb, ub):
+        # a failed LP is retried once from a cold start; None if it fails again
+        for _ in range(2):
+            sol = ws.solve(lb=lb, ub=ub)
+            stats["lp_solves"] += 1
+            if sol.status in ("optimal", "infeasible"):
+                return sol
+            stats["lp_failures"] += 1
+            ws.clear_solver()
+        return None
+
     while heap or dive:
-        if stats["nodes"] >= params.max_nodes:
-            timed_out = True
-            break
-        if out_of_time():
-            timed_out = True
+        if stats["nodes"] >= params.max_nodes or out_of_time():
+            stopped = "time_limit"
             break
         if plunging and dive:
-            node_bound, _, depth, fixings = dive.pop()
+            node_bound, _, depth, fixings, basis = dive.pop()
         else:
-            node_bound, _, depth, fixings = heapq.heappop(heap)
+            node_bound, _, depth, fixings, basis = heapq.heappop(heap)
             plunging = False
         if _relative_gap(incumbent_obj, node_bound) <= params.rel_gap:
             continue
@@ -251,14 +262,18 @@ def solve(instance: Instance, params: SolveParams = None,
         lb, ub = base_lb.copy(), base_ub.copy()
         for col, (lo, hi) in fixings.items():
             lb[col], ub[col] = lo, hi
+        if basis is not None:
+            ws.set_basis(basis)
 
         while True:
             if out_of_time():
-                timed_out = True
+                stopped = "time_limit"
                 break
-            sol = ws.solve(lb=lb, ub=ub)
-            stats["lp_solves"] += 1
-            if sol.status != "optimal":
+            sol = solve_lp(lb, ub)
+            if sol is None:
+                stopped = "numerical_error"
+                break
+            if sol.status == "infeasible":
                 break
             node_bound = max(node_bound, sol.objective)
             if _relative_gap(incumbent_obj, node_bound) <= params.rel_gap:
@@ -324,13 +339,13 @@ def solve(instance: Instance, params: SolveParams = None,
             seq += 1
             up = dict(fixings)
             up[col] = (1.0, ub[col])
-            frac_val = point[col]
-            child_bound = node_bound
+            # both children restart from this node's final basis
+            basis = ws.basis()
             # prefer the side the LP leans toward when plunging
-            first_up = frac_val >= 0.5
+            first_up = point[col] >= 0.5
             children = [
-                (child_bound, seq_down, depth + 1, down),
-                (child_bound, seq, depth + 1, up),
+                (node_bound, seq_down, depth + 1, down, basis),
+                (node_bound, seq, depth + 1, up, basis),
             ]
             if plunging:
                 preferred = children[1] if first_up else children[0]
@@ -342,7 +357,7 @@ def solve(instance: Instance, params: SolveParams = None,
                     heapq.heappush(heap, child)
             break
 
-        if timed_out:
+        if stopped:
             break
         in_node = False  # node closed: pruned, accepted, or branched
         best_bound = min(open_bounds())
@@ -351,14 +366,14 @@ def solve(instance: Instance, params: SolveParams = None,
                         "bound": best_bound, "incumbent": incumbent_obj,
                         "time": time.monotonic() - t0})
 
-    if timed_out:
-        # a valid global bound covers every open node plus, when the clock
-        # ran out mid-node, the interrupted node's own subtree
+    if stopped:
+        # a valid global bound covers every open node plus, when the search
+        # quit mid-node, that node's own subtree
         opened = open_bounds()
         if in_node:
             opened.append(node_bound)
         best_bound = min(opened)
-        status = "time_limit"
+        status = stopped
         if not math.isfinite(best_bound):
             best_bound = -math.inf
     else:

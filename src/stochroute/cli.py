@@ -1,7 +1,7 @@
 """Command-line front end: generate | solve | vss | plot | suite.
 
-Exit codes: 0 for success / certified optimum, 2 for a time-limited
-incumbent, 1 for errors.
+Exit codes: 0 for success / certified optimum, 2 for an uncertified
+incumbent (time or node limit, or an LP that kept failing), 1 for errors.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def _solution_record(instance, solution, mode):
         "nodes": solution.stats.get("nodes"),
         "cuts_added": solution.stats.get("cuts_added"),
         "lp_solves": solution.stats.get("lp_solves"),
+        "lp_failures": solution.stats.get("lp_failures"),
         "wall_time_s": solution.stats.get("wall_time_s"),
         "tours": [list(map(int, t)) for t in solution.tours],
         "assignment": [

@@ -7,6 +7,7 @@ per vertex, shared by all vehicles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,20 +110,24 @@ class Instance:
         for k, veh in enumerate(self.vehicles):
             if veh.depot != k:
                 raise InstanceError("vehicle depot indices must be 0..n-1 in order")
-            if veh.turn_radius <= 0:
-                raise InstanceError(f"vehicle {k} has non-positive turn radius")
-            if veh.gamma < 0:
-                raise InstanceError(f"vehicle {k} has negative penalty rate")
+            if not (math.isfinite(veh.turn_radius) and veh.turn_radius > 0):
+                raise InstanceError(
+                    f"vehicle {k} needs a finite positive turn radius")
+            if not (math.isfinite(veh.gamma) and veh.gamma >= 0):
+                raise InstanceError(
+                    f"vehicle {k} needs a finite non-negative penalty rate")
         positions = {(d.x, d.y) for d in self.depots}
         if len(positions) != n:
             raise InstanceError("depot positions must be distinct")
         tau, prob = self.scenarios.tau, self.scenarios.prob
         if tau.shape != (nt, n, prob.shape[0]):
             raise InstanceError("service-time tensor shape mismatch")
-        if np.any(tau < 0):
-            raise InstanceError("service times must be non-negative")
-        if np.any(prob < 0) or abs(float(prob.sum()) - 1.0) > 1e-12:
-            raise InstanceError("scenario probabilities must be >= 0 and sum to 1")
+        if not np.all(np.isfinite(tau)) or np.any(tau < 0):
+            raise InstanceError("service times must be finite and non-negative")
+        if (not np.all(np.isfinite(prob)) or np.any(prob < 0)
+                or abs(float(prob.sum()) - 1.0) > 1e-12):
+            raise InstanceError(
+                "scenario probabilities must be finite, >= 0 and sum to 1")
         if prob.shape[0] < 1:
             raise InstanceError("at least one scenario is required")
         if self.tau_bar.shape != (nt, n):

@@ -1,26 +1,40 @@
 """LP relaxation solving for the branch-and-cut engine.
 
-Backed by the HiGHS dual simplex via scipy.optimize.linprog. The workspace
-keeps a compiled sparse image of the model so that per-node solves only swap
-bound vectors, and appended cut rows extend the constraint blocks. Every
-solve starts HiGHS from scratch: no basis is carried between solves.
+Each workspace owns one persistent HiGHS dual-simplex model of the relaxed
+LinearModel, rows in model order as `row_lower <= A x <= row_upper`. A solve
+sends HiGHS only the column bounds that changed since the last solve and cut
+rows are appended in place, so each solve starts from the basis the previous
+one left; `basis`/`set_basis` carry a parent's basis across the search tree.
+HiGHS is scipy's bundled binding, private scipy API: `pyproject.toml` pins
+the scipy range it was tested with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
-STATUS_MAP = {
-    0: "optimal",
-    1: "iteration_limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical_error",
-}
+TESTED_SCIPY = ">=1.17,<1.18"  # the pin in pyproject.toml
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsBasisStatus, HighsModelStatus, _Highs)
+except ImportError as exc:
+    raise ImportError(
+        f"stochroute.lp needs scipy.optimize._highspy._core._Highs, which "
+        f"the installed scipy {scipy.__version__} does not provide; "
+        f"stochroute is tested with scipy {TESTED_SCIPY}") from exc
+
+STATUS = {
+    HighsModelStatus.kOptimal: "optimal",
+    HighsModelStatus.kInfeasible: "infeasible",
+    HighsModelStatus.kUnbounded: "unbounded",
+    HighsModelStatus.kIterationLimit: "iteration_limit",
+}  # any other model status is reported as "numerical_error"
 
 
 @dataclass
@@ -32,130 +46,112 @@ class LpSolution:
     reduced_costs: np.ndarray = None
 
 
-class LpWorkspace:
-    """Compiled LP image of a LinearModel; integrality is relaxed.
+class HighsRun(NamedTuple):
+    status: str
+    nit: int  # simplex iterations of this run
 
-    Rows are split into an equality block and an inequality block normalized
-    to <= form; `row_order` remembers how to map duals back to model rows.
+
+def linprog(highs) -> HighsRun:
+    """Run HiGHS once on its current model and basis.
+
+    The name is kept as the benchmark's hook: `bench/tracing.py` wraps
+    `stochroute.lp.linprog` to time each HiGHS run and read its `.nit`.
     """
+    highs.run()
+    return HighsRun(STATUS.get(highs.getModelStatus(), "numerical_error"),
+                    int(highs.getInfo().simplex_iteration_count))
+
+
+def _row_block(rows, n):
+    """(row_lower, row_upper, CSR matrix) of model rows."""
+    lower = np.array([-np.inf if r.sense == "<=" else r.rhs for r in rows])
+    upper = np.array([np.inf if r.sense == ">=" else r.rhs for r in rows])
+    indptr = np.cumsum([0] + [len(r.cols) for r in rows])
+    indices = [c for r in rows for c in r.cols]
+    data = np.array([a for r in rows for a in r.coefs], dtype=float)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n))
+    mat.sum_duplicates()
+    return lower, upper, mat
+
+
+class LpWorkspace:
+    """Persistent HiGHS model of a LinearModel; integrality is relaxed."""
 
     def __init__(self, model):
         self.model = model
         self.c = np.asarray(model.obj, dtype=float).copy()
         self.lb = np.asarray(model.lb, dtype=float).copy()
         self.ub = np.asarray(model.ub, dtype=float).copy()
-        n = len(self.c)
-        eq_rows, ub_rows = [], []
-        self.row_kind = []  # (block, index_in_block, sign) per model row
-        for row in model.rows:
-            data = (row.cols, row.coefs, row.rhs)
-            if row.sense == "=":
-                self.row_kind.append(("eq", len(eq_rows), 1.0))
-                eq_rows.append(data)
-            elif row.sense == "<=":
-                self.row_kind.append(("ub", len(ub_rows), 1.0))
-                ub_rows.append(data)
-            else:  # ">=" becomes -a x <= -b
-                cols, coefs, rhs = data
-                self.row_kind.append(("ub", len(ub_rows), -1.0))
-                ub_rows.append((cols, [-a for a in coefs], -rhs))
-        self.A_eq, self.b_eq = self._assemble(eq_rows, n)
-        self.A_ub, self.b_ub = self._assemble(ub_rows, n)
-        self.num_model_rows = len(model.rows)
+        self.highs = _Highs()
+        # silent (nothing on stdout), no presolve, dual simplex
+        for option, value in (("output_flag", False), ("presolve", "off"),
+                              ("solver", "simplex"), ("simplex_strategy", 1)):
+            self.highs.setOptionValue(option, value)
+        none = np.empty(0, dtype=np.int32)
+        self.highs.addCols(len(self.c), self.c, self.lb, self.ub, 0, none,
+                           none, np.empty(0))
+        self._pass_rows(model.rows)
+        self._lo, self._hi = self.lb.copy(), self.ub.copy()  # held by HiGHS
 
-    @staticmethod
-    def _assemble(rows, n):
-        if not rows:
-            return None, None
-        data, ri, ci = [], [], []
-        rhs = np.empty(len(rows))
-        for r, (cols, coefs, b) in enumerate(rows):
-            rhs[r] = b
-            for c, a in zip(cols, coefs):
-                ri.append(r)
-                ci.append(c)
-                data.append(a)
-        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-        return mat, rhs
+    def _pass_rows(self, rows):
+        lower, upper, mat = _row_block(rows, len(self.c))
+        self.highs.addRows(len(rows), lower, upper, mat.nnz,
+                           mat.indptr[:-1].astype(np.int32),
+                           mat.indices.astype(np.int32), mat.data)
 
     def add_rows(self, rows):
-        """Append model rows (any sense); they join the compiled blocks."""
-        eq_rows, ub_rows = [], []
-        n = len(self.c)
-        n_eq = 0 if self.b_eq is None else len(self.b_eq)
-        n_ub = 0 if self.b_ub is None else len(self.b_ub)
-        for row in rows:
-            self.model.rows.append(row)
-            if row.sense == "=":
-                self.row_kind.append(("eq", n_eq + len(eq_rows), 1.0))
-                eq_rows.append((row.cols, row.coefs, row.rhs))
-            elif row.sense == "<=":
-                self.row_kind.append(("ub", n_ub + len(ub_rows), 1.0))
-                ub_rows.append((row.cols, row.coefs, row.rhs))
-            else:
-                self.row_kind.append(("ub", n_ub + len(ub_rows), -1.0))
-                ub_rows.append((row.cols, [-a for a in row.coefs], -row.rhs))
-        if eq_rows:
-            mat, rhs = self._assemble(eq_rows, n)
-            self.A_eq = mat if self.A_eq is None else sp.vstack(
-                [self.A_eq, mat], format="csr")
-            self.b_eq = rhs if self.b_eq is None else np.concatenate(
-                [self.b_eq, rhs])
-        if ub_rows:
-            mat, rhs = self._assemble(ub_rows, n)
-            self.A_ub = mat if self.A_ub is None else sp.vstack(
-                [self.A_ub, mat], format="csr")
-            self.b_ub = rhs if self.b_ub is None else np.concatenate(
-                [self.b_ub, rhs])
-        self.num_model_rows += len(rows)
+        """Append model rows (any sense); the current basis is kept."""
+        self.model.rows.extend(rows)
+        self._pass_rows(rows)
+
+    def basis(self):
+        """The current simplex basis, for a later `set_basis`."""
+        return self.highs.getBasis()
+
+    def set_basis(self, basis):
+        """Restore a basis taken earlier, padded in place: new rows basic."""
+        missing = self.highs.getNumRow() - len(basis.row_status)
+        if missing:
+            basis.row_status = (basis.row_status
+                                + [HighsBasisStatus.kBasic] * missing)
+        self.highs.setBasis(basis)
+
+    def clear_solver(self):
+        """Drop the basis and factorization; the next solve starts cold."""
+        self.highs.clearSolver()
 
     def solve(self, lb=None, ub=None) -> LpSolution:
         """Solve with optional column-bound overrides."""
         lo = self.lb if lb is None else lb
         hi = self.ub if ub is None else ub
-        res = linprog(
-            self.c, A_ub=self.A_ub, b_ub=self.b_ub,
-            A_eq=self.A_eq, b_eq=self.b_eq,
-            bounds=np.column_stack([lo, hi]),
-            method="highs-ds",
-        )
-        status = STATUS_MAP.get(res.status, "numerical_error")
+        changed = np.flatnonzero((lo != self._lo) | (hi != self._hi))
+        if changed.size:
+            self.highs.changeColsBounds(changed.size, changed.astype(np.int32),
+                                        lo[changed], hi[changed])
+            self._lo[changed], self._hi[changed] = lo[changed], hi[changed]
+        status = linprog(self.highs).status
         if status != "optimal":
             return LpSolution(status=status, primal=None, dual=None,
                               objective=float("inf") if status == "infeasible"
                               else float("-inf"))
-        dual = np.empty(self.num_model_rows)
-        for r, (block, idx, sign) in enumerate(self.row_kind):
-            marg = res.eqlin.marginals if block == "eq" else res.ineqlin.marginals
-            dual[r] = sign * marg[idx]
-        rc = res.lower.marginals + res.upper.marginals
-        return LpSolution(status="optimal", primal=res.x, dual=dual,
-                          objective=float(res.fun), reduced_costs=rc)
+        sol = self.highs.getSolution()
+        return LpSolution(status="optimal", primal=np.array(sol.col_value),
+                          dual=np.array(sol.row_dual),
+                          objective=self.highs.getObjectiveValue(),
+                          reduced_costs=np.array(sol.col_dual))
 
     def residuals(self, sol: LpSolution):
         """(max primal row residual, max dual stationarity residual, rel gap)."""
-        x = sol.primal
-        primal = 0.0
-        if self.A_eq is not None:
-            primal = max(primal, float(np.max(np.abs(self.A_eq @ x - self.b_eq))))
-        if self.A_ub is not None:
-            primal = max(primal, float(np.max(np.clip(self.A_ub @ x - self.b_ub, 0, None))))
-        primal = max(primal, float(np.max(np.clip(self.lb - x, 0, None), initial=0.0)))
-        primal = max(primal, float(np.max(np.clip(x - self.ub, 0, None), initial=0.0)))
+        x, y, rc = sol.primal, sol.dual, sol.reduced_costs
+        lower, upper, mat = _row_block(self.model.rows, len(self.c))
+        ax = mat @ x
+        primal = float(np.max(np.concatenate(
+            [lower - ax, ax - upper, self.lb - x, x - self.ub]), initial=0.0))
         # stationarity: c = A^T y + reduced costs, with y = d(obj)/d(rhs)
-        aty = np.zeros_like(self.c)
-        for r, row in enumerate(self.model.rows):
-            y = sol.dual[r]
-            if y != 0.0:
-                for c, a in zip(row.cols, row.coefs):
-                    aty[c] += a * y
-        dual_resid = float(np.max(np.abs(self.c - aty - sol.reduced_costs)))
-        dual_obj = float(
-            sum(sol.dual[r] * row.rhs for r, row in enumerate(self.model.rows))
-        )
-        rc = sol.reduced_costs
-        pos, neg = np.clip(rc, 0, None), np.clip(rc, None, 0)
-        dual_obj += float(np.sum(np.where(np.isfinite(self.lb), pos * np.where(np.isfinite(self.lb), self.lb, 0.0), 0.0)))
-        dual_obj += float(np.sum(np.where(np.isfinite(self.ub), neg * np.where(np.isfinite(self.ub), self.ub, 0.0), 0.0)))
+        dual_resid = float(np.max(np.abs(self.c - mat.T @ y - rc)))
+        rhs = np.array([row.rhs for row in self.model.rows])
+        lb, ub = (np.where(np.isfinite(v), v, 0.0) for v in (self.lb, self.ub))
+        dual_obj = float(y @ rhs + np.clip(rc, 0, None) @ lb
+                         + np.clip(rc, None, 0) @ ub)
         gap = abs(sol.objective - dual_obj) / max(1.0, abs(sol.objective))
         return primal, dual_resid, gap

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochroute import SolveParams, solve
+from stochroute import SolveParams, lp, solve
 from stochroute.bnc import SolveError, _branch_candidate, greedy_incumbent
 from stochroute.model import (build_two_stage, expected_value_instance,
                               second_stage, vehicle_cost_matrix,
@@ -117,6 +117,58 @@ def test_node_log_reports_the_current_bound():
     assert all(later >= earlier - tol
                for earlier, later in zip(bounds, bounds[1:]))
     assert max(bounds) <= sol.objective + tol
+
+
+def _failing_linprog(monkeypatch, fails):
+    """Make HiGHS run number n (from 1) report a numerical error when
+    `fails(n)`."""
+    real, runs = lp.linprog, []
+
+    def flaky(highs):
+        runs.append(real(highs))
+        if fails(len(runs)):
+            return runs[-1]._replace(status="numerical_error")
+        return runs[-1]
+
+    monkeypatch.setattr(lp, "linprog", flaky)
+
+
+def test_failed_lp_is_retried_cold(monkeypatch):
+    inst = random_instance(64, nt=8, n=2, num_scenarios=4, f=1)
+    reference = solve(inst, SolveParams())
+    _failing_linprog(monkeypatch, lambda call: call == 10)
+    sol = solve(inst, SolveParams())
+    assert sol.certified and sol.stats["lp_failures"] == 1
+    assert sol.objective == pytest.approx(reference.objective, rel=1e-9)
+
+
+def test_lp_that_keeps_failing_is_not_certified(monkeypatch):
+    inst = random_instance(54, nt=7, n=2, num_scenarios=3, f=1)
+    _failing_linprog(monkeypatch, lambda call: True)
+    sol = solve(inst, SolveParams())
+    assert sol.status == "numerical_error" and not sol.certified
+    assert sol.stats["lp_failures"] == 2
+    assert sol.bound <= sol.objective
+    check_solution_shape(inst, sol)
+
+
+def test_lp_failure_mid_tree_keeps_a_valid_bound(monkeypatch):
+    inst = random_instance(64, nt=8, n=2, num_scenarios=4, f=1)
+    reference = solve(inst, SolveParams())
+    _failing_linprog(monkeypatch, lambda call: call >= 15)
+    sol = solve(inst, SolveParams())
+    assert sol.status == "numerical_error" and sol.stats["lp_failures"] == 2
+    assert math.isfinite(sol.bound)
+    assert sol.bound <= reference.objective + 1e-9 * abs(reference.objective)
+    assert sol.bound <= sol.objective
+
+
+def test_solver_writes_nothing_to_stdout_or_stderr(capfd):
+    inst = random_instance(54, nt=7, n=2, num_scenarios=3, f=1)
+    capfd.readouterr()
+    solve(inst, SolveParams())
+    solve(inst, SolveParams(), model_kind="evp")
+    assert capfd.readouterr() == ("", "")
 
 
 def test_incumbent_objectives_decrease():

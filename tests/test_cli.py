@@ -108,6 +108,22 @@ def test_solve_time_limit_exit_code(tsp_file, tmp_path):
         assert rc == 0
 
 
+def test_solve_lp_failure_exit_code(tsp_file, tmp_path, monkeypatch):
+    from stochroute import lp
+    real = lp.linprog
+    monkeypatch.setattr(
+        lp, "linprog",
+        lambda highs: real(highs)._replace(status="numerical_error"))
+    gen(tsp_file, tmp_path, "--n", "2", "--f", "1")
+    rc = main(["solve", str(tmp_path / "tiny-2-1.json"),
+               "--out", str(tmp_path)])
+    record = json.loads(
+        (tmp_path / "tiny-2-1.stochastic.solution.json").read_text())
+    assert rc == 2
+    assert record["status"] == "numerical_error"
+    assert record["lp_failures"] == 2
+
+
 def test_vss_outputs(tsp_file, tmp_path, capsys):
     gen(tsp_file, tmp_path, "--n", "2", "--f", "1")
     rc = main(["vss", str(tmp_path / "tiny-2-1.json"), "--out", str(tmp_path)])

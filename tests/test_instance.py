@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -141,6 +142,28 @@ def test_validate_rejects_duplicate_depots():
     )
     with pytest.raises(InstanceError, match="distinct"):
         bad.validate()
+
+
+def _with_nan(inst, field):
+    """A copy of `inst` with one NaN in `field`."""
+    if field in ("tau", "prob"):
+        arr = getattr(inst.scenarios, field).copy()
+        arr.flat[0] = np.nan
+        return dataclasses.replace(
+            inst, scenarios=dataclasses.replace(inst.scenarios, **{field: arr}))
+    vehicles = (dataclasses.replace(inst.vehicles[0], **{field: math.nan}),
+                *inst.vehicles[1:])
+    return dataclasses.replace(inst, vehicles=vehicles)
+
+
+@pytest.mark.parametrize("field,match", [
+    ("tau", "service times"), ("prob", "probabilities"),
+    ("gamma", "penalty rate"), ("turn_radius", "turn radius"),
+])
+def test_validate_rejects_nan(field, match):
+    inst = generate_instance(COORDS, 2, 0, 3, 0, GenerationConfig())
+    with pytest.raises(InstanceError, match=match):
+        _with_nan(inst, field).validate()
 
 
 def test_negative_tau_bar_is_allowed():

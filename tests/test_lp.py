@@ -1,8 +1,14 @@
+import dataclasses
+import importlib.util
 import itertools
+import sys
+import types
 
 import numpy as np
 import pytest
+import scipy
 
+from stochroute import lp
 from stochroute.lp import LpWorkspace
 from stochroute.model import LinearModel, Row, build_two_stage
 from tests.conftest import random_instance
@@ -147,3 +153,67 @@ def test_kkt_residuals_on_random_battery():
         assert primal <= 1e-7
         assert dual <= 1e-7
         assert gap <= 1e-6
+
+
+def test_warm_start_sequences_match_fresh_solves():
+    """Bound changes, added rows and restored older bases on one persistent
+    model give what a fresh model of the same LP gives."""
+    rng = np.random.default_rng(7)
+    checked = {"optimal": 0, "infeasible": 0, "restored": 0}
+    models = 0
+    while models < 40:
+        m = random_lp(rng, n_cols=8, n_rows=4)
+        n = len(m.obj)
+        ws = LpWorkspace(m)
+        lo, hi = ws.lb.copy(), ws.ub.copy()
+        last = ws.solve(lb=lo, ub=hi)
+        if last.status != "optimal":
+            continue
+        models += 1
+        bases = [ws.basis()]
+        for _ in range(15):
+            lo, hi = lo.copy(), hi.copy()
+            # an infeasible LP is relaxed next, so most solves are optimal
+            op = 1 if last.status != "optimal" else int(rng.integers(0, 4))
+            j = int(rng.integers(0, n))
+            if op == 0:  # tighten one side of a column
+                mid = float(rng.uniform(lo[j], hi[j]))
+                if rng.random() < 0.5:
+                    lo[j] = mid
+                else:
+                    hi[j] = mid
+            elif op == 1:  # relax a column back to the model's bounds
+                lo[j], hi[j] = ws.lb[j], ws.ub[j]
+            elif op == 2:  # a row that often cuts off the last point
+                cols = sorted(rng.choice(n, size=3, replace=False).tolist())
+                coefs = rng.uniform(-1, 1, 3)
+                rhs = float(coefs @ last.primal[cols] - rng.uniform(-0.2, 0.4))
+                ws.add_rows([Row(cols, coefs.tolist(), "<=", rhs)])
+            else:  # back to an older basis, with fewer rows
+                ws.set_basis(bases[int(rng.integers(0, len(bases)))])
+                checked["restored"] += 1
+            last = ws.solve(lb=lo, ub=hi)
+            fresh = LpWorkspace(dataclasses.replace(
+                ws.model, lb=lo, ub=hi, rows=list(ws.model.rows)))
+            ref = fresh.solve()
+            assert last.status == ref.status
+            checked[last.status] = checked.get(last.status, 0) + 1
+            if last.status != "optimal":
+                continue
+            assert abs(last.objective - ref.objective) <= \
+                1e-9 * max(1.0, abs(ref.objective))
+            primal, dual, gap = fresh.residuals(last)
+            assert primal <= 1e-7 and dual <= 1e-7 and gap <= 1e-6
+            bases.append(ws.basis())
+    assert min(checked.values()) >= 20, checked
+
+
+def test_missing_highs_binding_fails_at_import(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core",
+                        types.ModuleType("scipy.optimize._highspy._core"))
+    spec = importlib.util.spec_from_file_location("lp_without_highs",
+                                                  lp.__file__)
+    with pytest.raises(ImportError) as err:
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert scipy.__version__ in str(err.value)
+    assert lp.TESTED_SCIPY in str(err.value)
