@@ -2,9 +2,10 @@
 
 Node selection is best bound with depth-first plunging after each new
 incumbent; branching picks the most fractional binary, assignment variables
-before arc variables, ties to the lowest index. Integer candidates are always
-screened by strongly-connected-component separation before acceptance;
-fractional min-cut separation runs at shallow nodes and periodically below.
+before depot activations before arc variables, ties to the lowest column.
+Integer candidates are always screened by strongly-connected-component
+separation before acceptance; fractional min-cut separation runs at shallow
+nodes and periodically below. There is no node limit.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from .lp import LpWorkspace
 from .model import build_evp, build_two_stage, second_stage
 
 
+INT_TOL = 1e-6  # a binary this close to an integer counts as integral
+VIOLATION_TOL = 1e-4  # a fractional cut must be violated by more than this
+FRAC_DEPTH = 5  # fractional separation runs at every node this shallow
+FRAC_EVERY = 10  # ... and at every FRAC_EVERY-th node below
+
+
 @dataclass
 class SolveParams:
     time_limit_s: float = 3600.0
     rel_gap: float = 1e-6
-    int_tol: float = 1e-6
-    violation_tol: float = 1e-4
     cuts_per_component: str = "one"  # "one" | "all"
-    fractional_separation: str = "depth"  # "on" | "off" | "depth"
-    frac_depth: int = 5
-    frac_every: int = 10
     node_log: int = 0  # log every N nodes; 0 disables
-    max_nodes: int = 10_000_000
 
 
 @dataclass
@@ -121,14 +122,13 @@ def greedy_incumbent(instance: Instance, cost_matrices):
                     bound=-math.inf, gap=math.inf, status="heuristic")
 
 
-def _extract_tours(instance: Instance, varmap, point, int_tol):
+def _extract_tours(instance: Instance, varmap, point):
     tours = []
     for k in range(instance.num_vehicles):
         d = instance.depot_vertex(k)
-        succ = {}
-        for (kk, u, v), col in varmap.x_index.items():
-            if kk == k and point[col] > 1.0 - 10 * max(int_tol, 1e-6):
-                succ[u] = v
+        x = varmap.x[k]
+        us, vs = np.nonzero((x >= 0) & (point[x] > 1.0 - 10 * INT_TOL))
+        succ = dict(zip(us.tolist(), vs.tolist()))
         if d not in succ:
             tours.append([])
             continue
@@ -142,29 +142,14 @@ def _extract_tours(instance: Instance, varmap, point, int_tol):
     return tours
 
 
-def _branch_candidate(model, varmap, point, int_tol):
-    """Most fractional binary; y before h before x; lowest index breaks ties."""
-    best_col, best_score = None, int_tol
-    for (i, k) in sorted(varmap.y_index):
-        col = varmap.y_index[(i, k)]
-        frac = abs(point[col] - round(point[col]))
-        if frac > best_score:
-            best_col, best_score = col, frac
-    if best_col is not None:
-        return best_col
-    for k in sorted(varmap.h_index):
-        col = varmap.h_index[k]
-        frac = abs(point[col] - round(point[col]))
-        if frac > best_score:
-            best_col, best_score = col, frac
-    if best_col is not None:
-        return best_col
-    for key in sorted(varmap.x_index):
-        col = varmap.x_index[key]
-        frac = abs(point[col] - round(point[col]))
-        if frac > best_score:
-            best_col, best_score = col, frac
-    return best_col
+def _branch_candidate(varmap, point):
+    """Most fractional binary: y, then h, then x; ties to the lowest column."""
+    for cols in (varmap.y.ravel(), varmap.h, varmap.x[varmap.x >= 0]):
+        frac = np.abs(point[cols] - np.round(point[cols]))
+        best = int(np.argmax(frac))  # the first maximum: the lowest column
+        if frac[best] > INT_TOL:
+            return int(cols[best])
+    return None
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:
@@ -179,9 +164,9 @@ def solve(instance: Instance, params: SolveParams = None,
 
     The EVP is the two-stage model of the mean-value instance, so the
     returned excess has one column. Returns the incumbent with its bound and
-    gap. Status is "time_limit" when the clock or the node limit ran out
-    before certification, and "numerical_error" when a node's LP failed even
-    after a cold retry.
+    gap. Status is "time_limit" when the clock ran out before certification,
+    and "numerical_error" when a node's LP failed even after a cold retry;
+    the bound is -inf when the search stopped before any node closed.
     """
     params = params or SolveParams()
     instance.validate()
@@ -247,7 +232,7 @@ def solve(instance: Instance, params: SolveParams = None,
         return None
 
     while heap or dive:
-        if stats["nodes"] >= params.max_nodes or out_of_time():
+        if out_of_time():
             stopped = "time_limit"
             break
         if plunging and dive:
@@ -281,7 +266,7 @@ def solve(instance: Instance, params: SolveParams = None,
             point = sol.primal
             ints = model.is_int
             frac = np.abs(point[ints] - np.round(point[ints]))
-            is_integer = bool(np.max(frac, initial=0.0) <= params.int_tol)
+            is_integer = bool(np.max(frac, initial=0.0) <= INT_TOL)
             if is_integer:
                 stats["integer_separations"] += 1
                 cuts = []
@@ -293,11 +278,8 @@ def solve(instance: Instance, params: SolveParams = None,
                 if add_cuts(cuts):
                     continue
                 # accepted: recompute the objective exactly
-                tours = _extract_tours(instance, varmap, point, params.int_tol)
-                assignment = np.zeros((instance.num_targets,
-                                       instance.num_vehicles))
-                for (i, k), col in varmap.y_index.items():
-                    assignment[i, k] = round(float(point[col]))
+                tours = _extract_tours(instance, varmap, point)
+                assignment = np.round(point[varmap.y])
                 excess, penalty = second_stage(instance, assignment)
                 travel = _tour_cost(cost_matrices, tours)
                 obj = travel + penalty
@@ -312,22 +294,18 @@ def solve(instance: Instance, params: SolveParams = None,
                                 "node": stats["nodes"],
                                 "time": time.monotonic() - t0})
                 break
-            do_frac = params.fractional_separation == "on" or (
-                params.fractional_separation == "depth"
-                and (depth <= params.frac_depth
-                     or stats["nodes"] % params.frac_every == 0))
-            if do_frac:
+            if depth <= FRAC_DEPTH or stats["nodes"] % FRAC_EVERY == 0:
                 stats["fractional_separations"] += 1
                 cuts = []
                 for k in range(instance.num_vehicles):
                     sg = separation.build_support_graph(
                         instance, varmap, point, k, eps=1e-7)
                     cuts.extend(separation.separate_fractional(
-                        sg, params.violation_tol, params.cuts_per_component))
+                        sg, VIOLATION_TOL, params.cuts_per_component))
                 if add_cuts(cuts):
                     continue
             # branch
-            col = _branch_candidate(model, varmap, point, params.int_tol)
+            col = _branch_candidate(varmap, point)
             if col is None:
                 # numerically integer after all; loop once more with a
                 # tighter integrality view

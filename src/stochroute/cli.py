@@ -1,13 +1,16 @@
 """Command-line front end: generate | solve | vss | plot | suite.
 
 Exit codes: 0 for success / certified optimum, 2 for an uncertified
-incumbent (time or node limit, or an LP that kept failing), 1 for errors.
+incumbent (time limit, or an LP that kept failing), 1 for errors. Records
+are strict JSON: a bound or gap that is not finite (a solve stopped before
+any node closed) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,6 +81,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _dumps(record) -> str:
+    return json.dumps(record, indent=1, allow_nan=False)
+
+
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
+
+
 def _solution_record(instance, solution, mode):
     return {
         "instance": instance.name,
@@ -85,8 +96,8 @@ def _solution_record(instance, solution, mode):
         "objective": solution.objective,
         "first_stage_cost": solution.travel,
         "expected_penalty": solution.objective - solution.travel,
-        "gap": solution.gap,
-        "bound": solution.bound,
+        "gap": _finite_or_none(solution.gap),
+        "bound": _finite_or_none(solution.bound),
         "status": solution.status,
         "nodes": solution.stats.get("nodes"),
         "cuts_added": solution.stats.get("cuts_added"),
@@ -107,11 +118,11 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{instance.name}.{args.mode}.solution.json"
-    out_path.write_text(json.dumps(record, indent=1))
-    print(json.dumps({k: record[k] for k in (
+    out_path.write_text(_dumps(record))
+    print(_dumps({k: record[k] for k in (
         "instance", "mode", "objective", "first_stage_cost",
         "expected_penalty", "gap", "status", "nodes", "cuts_added",
-        "wall_time_s")}, indent=1))
+        "wall_time_s")}))
     print(f"record written to {out_path}")
     return 0 if solution.certified else 2
 
@@ -153,9 +164,9 @@ def cmd_vss(args) -> int:
     row["extra_time_s"] = (row["stochastic_time_s"] or 0.0) - (row["evp_time_s"] or 0.0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{instance.name}.vss.json").write_text(json.dumps(row, indent=1))
+    (out_dir / f"{instance.name}.vss.json").write_text(_dumps(row))
     _append_vss_tables(out_dir, [row])
-    print(json.dumps(row, indent=1))
+    print(_dumps(row))
     return 0 if report.certified else 2
 
 
@@ -190,10 +201,10 @@ def cmd_suite(args) -> int:
         report = recourse.compute_vss(inst, params)
         record = _solution_record(inst, report.stochastic_solution, "stochastic")
         (out_dir / f"{inst.name}.stochastic.solution.json").write_text(
-            json.dumps(record, indent=1))
+            _dumps(record))
         evp_record = _solution_record(inst, report.evp_solution, "evp")
         (out_dir / f"{inst.name}.evp.solution.json").write_text(
-            json.dumps(evp_record, indent=1))
+            _dumps(evp_record))
         row = _vss_row(report, inst.name)
         rows.append(row)
         all_certified = all_certified and report.certified
@@ -202,7 +213,7 @@ def cmd_suite(args) -> int:
               f"time={row['stochastic_time_s']:.1f}s"
               f"{'' if report.certified else ' (NOT certified)'}")
     _append_vss_tables(out_dir, rows)
-    (out_dir / "suite.json").write_text(json.dumps(rows, indent=1))
+    (out_dir / "suite.json").write_text(_dumps(rows))
     return 0 if all_certified else 2
 
 

@@ -67,7 +67,8 @@ def _row_block(rows, n):
     lower = np.array([-np.inf if r.sense == "<=" else r.rhs for r in rows])
     upper = np.array([np.inf if r.sense == ">=" else r.rhs for r in rows])
     indptr = np.cumsum([0] + [len(r.cols) for r in rows])
-    indices = [c for r in rows for c in r.cols]
+    # the empty head keeps the dtype integral when there are no rows
+    indices = np.concatenate([np.empty(0, np.int64)] + [r.cols for r in rows])
     data = np.array([a for r in rows for a in r.coefs], dtype=float)
     mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n))
     mat.sum_duplicates()

@@ -22,7 +22,7 @@ from .instance import Instance, ScenarioSet
 
 @dataclass
 class Row:
-    cols: list
+    cols: np.ndarray  # column ids (any integer sequence)
     coefs: list
     sense: str  # "<=", ">=", "="
     rhs: float
@@ -35,7 +35,6 @@ class LinearModel:
     lb: np.ndarray
     ub: np.ndarray
     is_int: np.ndarray
-    col_names: list
     rows: list
     instance: Instance = None  # the instance the model was built from
     cost_matrices: dict = field(default_factory=dict)  # vehicle -> np.ndarray
@@ -47,10 +46,17 @@ class LinearModel:
 
 @dataclass
 class VariableMap:
-    x_index: dict  # (k, i, j) -> col, vertex ids
-    y_index: dict  # (i, k) -> col
-    z_index: dict  # (k, w) -> col
-    h_index: dict  # k -> col
+    """Column index of every variable; blocks x, y, z, h in column order.
+
+    Each block is numbered in row-major order of its array. Vertex ids are
+    global (targets, then depots), so `x[k]` is square over all of them and
+    holds -1 on the diagonal and on arcs touching another vehicle's depot.
+    """
+
+    x: np.ndarray  # (n, |T|+n, |T|+n) arc (k, u, v)
+    y: np.ndarray  # (|T|, n) assignment (i, k)
+    z: np.ndarray  # (n, |Omega|) excess (k, w)
+    h: np.ndarray  # (n,) depot activation k
 
 
 def vehicle_vertices(instance: Instance, k: int):
@@ -65,109 +71,90 @@ def vehicle_cost_matrix(instance: Instance, k: int) -> np.ndarray:
     return dubins.cost_matrix(poses, instance.vehicles[k].turn_radius)
 
 
+def _variable_map(instance: Instance) -> VariableMap:
+    nt, n = instance.num_targets, instance.num_vehicles
+    own = np.zeros((n, nt + n), dtype=bool)  # vertices each vehicle may touch
+    for k in range(n):
+        own[k, vehicle_vertices(instance, k)] = True
+    arcs = own[:, :, None] & own[:, None, :] & ~np.eye(nt + n, dtype=bool)
+    x = np.full(arcs.shape, -1)
+    x[arcs] = np.arange(np.count_nonzero(arcs))
+    sizes = [nt * n, n * instance.scenarios.num_scenarios, n]
+    rest = np.count_nonzero(arcs) + np.arange(sum(sizes))
+    y, z, h = np.split(rest, np.cumsum(sizes)[:-1])
+    return VariableMap(x=x, y=y.reshape(nt, n), z=z.reshape(n, -1), h=h)
+
+
+def _rows(cols, coefs, sense, rhs, names):
+    """One row per line of the 2-D `cols` and `coefs`."""
+    return [Row(cols=c, coefs=a, sense=sense, rhs=rhs, name=name)
+            for c, a, name in zip(cols, coefs.tolist(), names)]
+
+
+def _degree_rows(arcs, link, names):
+    """Arcs out of (or into) a vertex sum to its y (target) or h (depot)."""
+    cols = np.column_stack([arcs, link])
+    coefs = np.ones(cols.shape)
+    coefs[:, -1] = -1.0
+    return _rows(cols, coefs, "=", 0.0, names)
+
+
 def build_two_stage(instance: Instance):
     """Two-stage stochastic MILP with per-scenario excess variables."""
     instance.validate()
     nt, n = instance.num_targets, instance.num_vehicles
     num_scen = instance.scenarios.num_scenarios
     tau, prob = instance.scenarios.tau, instance.scenarios.prob
+    gamma = np.array([v.gamma for v in instance.vehicles])
 
     cost = {k: vehicle_cost_matrix(instance, k) for k in range(n)}
+    vm = _variable_map(instance)
+    x, y, z, h = vm.x, vm.y, vm.z, vm.h
+    num_cols = int(h[-1]) + 1
 
-    obj, lb, ub, is_int, names = [], [], [], [], []
-    x_index, y_index, z_index, h_index = {}, {}, {}, {}
-
-    def add_col(name, coef, lo, hi, integral):
-        col = len(obj)
-        obj.append(coef)
-        lb.append(lo)
-        ub.append(hi)
-        is_int.append(integral)
-        names.append(name)
-        return col
-
-    for k in range(n):
-        verts = vehicle_vertices(instance, k)
-        for i in verts:
-            for j in verts:
-                if i != j:
-                    x_index[(k, i, j)] = add_col(
-                        f"x_{k}_{i}_{j}", float(cost[k][i, j]), 0.0, 1.0, True
-                    )
-    pinned = {}
+    obj, lb = np.zeros(num_cols), np.zeros(num_cols)
+    ub, is_int = np.ones(num_cols), np.ones(num_cols, dtype=bool)
+    obj[x[x >= 0]] = np.stack([cost[k] for k in range(n)])[x >= 0]
+    obj[z] = prob[None, :] * gamma[:, None]
+    ub[z], is_int[z] = np.inf, False
     for k, r in enumerate(instance.required):
         for i in r:
-            pinned[i] = k
-    for i in range(nt):
-        for k in range(n):
-            lo = hi = None
-            if i in pinned:
-                lo = hi = 1.0 if pinned[i] == k else 0.0
-            y_index[(i, k)] = add_col(
-                f"y_{i}_{k}", 0.0, lo if lo is not None else 0.0,
-                hi if hi is not None else 1.0, True
-            )
-    for k in range(n):
-        gamma = instance.vehicles[k].gamma
-        for w in range(num_scen):
-            z_index[(k, w)] = add_col(
-                f"z_{k}_{w}", float(prob[w]) * gamma, 0.0, np.inf, False
-            )
-    for k in range(n):
-        h_index[k] = add_col(f"h_{k}", 0.0, 0.0, 1.0, True)
+            ub[y[i]] = 0.0
+            lb[y[i, k]] = ub[y[i, k]] = 1.0
 
-    rows = []
-    for k in range(n):
-        verts = vehicle_vertices(instance, k)
-        for i in range(nt):
-            rows.append(Row(
-                cols=[x_index[(k, i, j)] for j in verts if j != i] + [y_index[(i, k)]],
-                coefs=[1.0] * (len(verts) - 1) + [-1.0],
-                sense="=", rhs=0.0, name=f"outdeg_{i}_{k}",
-            ))
-            rows.append(Row(
-                cols=[x_index[(k, j, i)] for j in verts if j != i] + [y_index[(i, k)]],
-                coefs=[1.0] * (len(verts) - 1) + [-1.0],
-                sense="=", rhs=0.0, name=f"indeg_{i}_{k}",
-            ))
-    for i in range(nt):
-        rows.append(Row(
-            cols=[y_index[(i, k)] for k in range(n)],
-            coefs=[1.0] * n, sense="=", rhs=1.0, name=f"assign_{i}",
-        ))
-    for k in range(n):
-        for w in range(num_scen):
-            rows.append(Row(
-                cols=[y_index[(i, k)] for i in range(nt)] + [z_index[(k, w)]],
-                coefs=[float(instance.tau_bar[i, k] - tau[i, k, w])
-                       for i in range(nt)] + [1.0],
-                sense=">=", rhs=0.0, name=f"service_{k}_{w}",
-            ))
-    for k in range(n):
-        d = instance.depot_vertex(k)
-        rows.append(Row(
-            cols=[x_index[(k, d, j)] for j in range(nt)] + [h_index[k]],
-            coefs=[1.0] * nt + [-1.0], sense="=", rhs=0.0, name=f"depot_out_{k}",
-        ))
-        rows.append(Row(
-            cols=[x_index[(k, j, d)] for j in range(nt)] + [h_index[k]],
-            coefs=[1.0] * nt + [-1.0], sense="=", rhs=0.0, name=f"depot_in_{k}",
-        ))
-    for i in range(nt):
-        for k in range(n):
-            rows.append(Row(
-                cols=[y_index[(i, k)], h_index[k]],
-                coefs=[1.0, -1.0], sense="<=", rhs=0.0, name=f"active_{i}_{k}",
-            ))
+    # out- then in-degree of each target, in (k, i) order; every target's
+    # row and column of x[k] hold nt arcs
+    out, into = x[:, :nt], x[:, :, :nt].transpose(0, 2, 1)
+    arcs = np.stack([out[out >= 0].reshape(n * nt, nt),
+                     into[into >= 0].reshape(n * nt, nt)], axis=1)
+    rows = _degree_rows(arcs.reshape(-1, nt), np.repeat(y.T.ravel(), 2),
+                        [f"{d}deg_{i}_{k}" for k in range(n)
+                         for i in range(nt) for d in ("out", "in")])
+    rows += _rows(y, np.ones(y.shape), "=", 1.0,
+                  [f"assign_{i}" for i in range(nt)])
+    # service rows in (k, w) order: the y column of k, then z_kw
+    cols = np.concatenate([np.broadcast_to(y.T[:, None], (n, num_scen, nt)),
+                           z[:, :, None]], axis=2)
+    coefs = np.concatenate([(instance.tau_bar[:, :, None] - tau)
+                            .transpose(1, 2, 0), np.ones((n, num_scen, 1))],
+                           axis=2)
+    rows += _rows(cols.reshape(-1, nt + 1), coefs.reshape(-1, nt + 1), ">=",
+                  0.0, [f"service_{k}_{w}" for k in range(n)
+                        for w in range(num_scen)])
+    depots = [instance.depot_vertex(k) for k in range(n)]
+    arcs = np.stack([x[range(n), depots, :nt], x[range(n), :nt, depots]],
+                    axis=1)
+    rows += _degree_rows(arcs.reshape(-1, nt), np.repeat(h, 2),
+                         [f"depot_{d}_{k}" for k in range(n)
+                          for d in ("out", "in")])
+    cols = np.stack([y, np.broadcast_to(h, y.shape)], axis=2)
+    rows += _rows(cols.reshape(-1, 2), np.tile([1.0, -1.0], (nt * n, 1)),
+                  "<=", 0.0,
+                  [f"active_{i}_{k}" for i in range(nt) for k in range(n)])
 
-    model = LinearModel(
-        obj=np.array(obj), lb=np.array(lb), ub=np.array(ub),
-        is_int=np.array(is_int, dtype=bool), col_names=names, rows=rows,
-        instance=instance, cost_matrices=cost,
-    )
-    varmap = VariableMap(x_index=x_index, y_index=y_index,
-                         z_index=z_index, h_index=h_index)
-    return model, varmap
+    model = LinearModel(obj=obj, lb=lb, ub=ub, is_int=is_int, rows=rows,
+                        instance=instance, cost_matrices=cost)
+    return model, vm
 
 
 def second_stage(instance: Instance, y):

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Row
 
 
@@ -41,21 +43,13 @@ class SupportGraph:
 def build_support_graph(instance, varmap, point, vehicle, eps=1e-9) -> SupportGraph:
     """Support graph of `point` (a primal vector) for one vehicle."""
     depot = instance.depot_vertex(vehicle)
-    y = {}
-    for i in range(instance.num_targets):
-        val = float(point[varmap.y_index[(i, vehicle)]])
-        if val > eps:
-            y[i] = val
-    vertices = set(y) | {depot}
-    arcs = {}
-    for (k, u, v), col in varmap.x_index.items():
-        if k != vehicle:
-            continue
-        w = float(point[col])
-        if w > eps:
-            arcs[(u, v)] = w
-            vertices.add(u)
-            vertices.add(v)
+    y = {i: v for i, v in enumerate(point[varmap.y[:, vehicle]].tolist())
+         if v > eps}
+    x = varmap.x[vehicle]
+    weights = np.where(x >= 0, point[x], 0.0)  # -1 marks a missing arc
+    us, vs = np.nonzero(weights > eps)
+    arcs = dict(zip(zip(us.tolist(), vs.tolist()), weights[us, vs].tolist()))
+    vertices = set(y) | {depot} | set(us.tolist()) | set(vs.tolist())
     return SupportGraph(vehicle=vehicle, depot=depot, vertices=vertices,
                         arcs=arcs, y=y)
 
@@ -263,23 +257,11 @@ def separate_fractional(sg: SupportGraph, violation_tol: float = 1e-4,
 def cut_row(cut: Cut, instance, varmap) -> Row:
     """Materialize a cut as a model row over vehicle k's arc variables."""
     k = cut.vehicle
-    depot = instance.depot_vertex(k)
+    inside = sorted(cut.set_S)
     outside = [j for j in range(instance.num_targets) if j not in cut.set_S]
-    outside.append(depot)
-    cols, coefs = [], []
-    for u in sorted(cut.set_S):
-        for v in outside:
-            cols.append(varmap.x_index[(k, u, v)])
-            coefs.append(1.0)
-    cols.append(varmap.y_index[(cut.anchor, k)])
-    coefs.append(-1.0)
-    label = "_".join(str(v) for v in sorted(cut.set_S))
-    return Row(cols=cols, coefs=coefs, sense=">=", rhs=0.0,
+    outside.append(instance.depot_vertex(k))
+    arcs = varmap.x[k][np.ix_(inside, outside)].ravel()
+    label = "_".join(str(v) for v in inside)
+    return Row(cols=np.append(arcs, varmap.y[cut.anchor, k]),
+               coefs=[1.0] * arcs.size + [-1.0], sense=">=", rhs=0.0,
                name=f"sec_{k}_{cut.anchor}_{label}")
-
-
-def cut_violation(cut: Cut, instance, varmap, point) -> float:
-    """y_anchor - x(delta+(S)) at the point; positive means violated."""
-    row = cut_row(cut, instance, varmap)
-    lhs = sum(a * float(point[c]) for c, a in zip(row.cols, row.coefs))
-    return -lhs

@@ -21,8 +21,7 @@ from stochroute.lp import LpWorkspace
 from stochroute.model import Row, build_two_stage, second_stage
 from stochroute.oracle import brute_force_min_cut, brute_force_solve
 from stochroute.recourse import compute_vss, expected_penalty
-from stochroute.separation import (build_support_graph, cut_row,
-                                   cut_violation, max_flow,
+from stochroute.separation import (build_support_graph, cut_row, max_flow,
                                    separate_fractional, separate_integer)
 from stochroute.tsplib import parse_tsplib
 from tests.conftest import random_instance
@@ -161,21 +160,21 @@ def test_criterion_5_separation_correctness(capsys):
         point = np.zeros(model.num_cols)
         for k, tour in enumerate(opt.tours):
             for u, v in zip(tour, tour[1:]):
-                point[varmap.x_index[(k, u, v)]] = 1.0
-        for (i, k), col in varmap.y_index.items():
-            point[col] = opt.assignment[i, k]
+                point[varmap.x[k, u, v]] = 1.0
+        point[varmap.y] = opt.assignment
         for k in range(inst.num_vehicles):
             for cut in separate_fractional(
                     build_support_graph(inst, varmap, frac, k, eps=1e-7)):
-                if cut_violation(cut, inst, varmap, frac) <= 1e-4:
-                    cut_errors += 1
                 row = cut_row(cut, inst, varmap)
+                if -np.dot(row.coefs, frac[row.cols]) <= 1e-4:
+                    cut_errors += 1
                 lhs = sum(a * point[c] for c, a in zip(row.cols, row.coefs))
                 if lhs < row.rhs - 1e-9:
                     cut_errors += 1
             for cut in separate_integer(
                     build_support_graph(inst, varmap, point, k, eps=0.5)):
-                if cut_violation(cut, inst, varmap, point) <= 1e-4:
+                row = cut_row(cut, inst, varmap)
+                if -np.dot(row.coefs, point[row.cols]) <= 1e-4:
                     cut_errors += 1
     elapsed = time.monotonic() - t0
     ok = flow_errors == 0 and cut_errors == 0 and elapsed < 30
@@ -277,12 +276,10 @@ def test_criterion_8_closed_form_recourse(capsys):
                 y[i, k] = 1.0
         model, varmap = build_two_stage(inst)
         lb, ub = model.lb.copy(), model.ub.copy()
-        for (i, k), col in varmap.y_index.items():
-            lb[col] = ub[col] = y[i, k]
-        for col in varmap.x_index.values():
-            lb[col] = ub[col] = 0.0  # travel is irrelevant to the z block
-        for col in varmap.h_index.values():
-            ub[col] = 1.0
+        lb[varmap.y] = ub[varmap.y] = y
+        arcs = varmap.x[varmap.x >= 0]
+        lb[arcs] = ub[arcs] = 0.0  # travel is irrelevant to the z block
+        ub[varmap.h] = 1.0
         frozen = dataclasses.replace(
             model, lb=lb, ub=ub, is_int=np.zeros_like(model.is_int),
             rows=[r for r in model.rows if r.name.startswith("service_")])
@@ -291,8 +288,7 @@ def test_criterion_8_closed_form_recourse(capsys):
         closed = expected_penalty(inst, y)
         worst = max(worst, abs(lp.objective - closed))
         excess, _ = second_stage(inst, y)
-        for (k, w), col in varmap.z_index.items():
-            worst = max(worst, abs(lp.primal[col] - excess[k, w]))
+        worst = max(worst, np.max(np.abs(lp.primal[varmap.z] - excess)))
     ok = worst <= 1e-9
     report(capsys, 8, ok,
            f"100 fixed-assignment LPs, max deviation {worst:.2e}")

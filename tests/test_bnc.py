@@ -78,14 +78,6 @@ def test_cuts_per_component_modes_agree():
     assert one.objective == pytest.approx(all_.objective, rel=1e-6)
 
 
-def test_fractional_separation_modes_agree():
-    inst = random_instance(51, nt=6, n=2, num_scenarios=3, f=1)
-    objs = [solve(inst, SolveParams(fractional_separation=m)).objective
-            for m in ("on", "off", "depth")]
-    assert objs[0] == pytest.approx(objs[1], rel=1e-6)
-    assert objs[0] == pytest.approx(objs[2], rel=1e-6)
-
-
 def test_time_limit_returns_feasible_with_bound():
     inst = random_instance(52, nt=8, n=3, num_scenarios=10, f=2)
     sol = solve(inst, SolveParams(time_limit_s=0.05))
@@ -196,17 +188,19 @@ def test_branch_candidate_prefers_assignment_vars():
     inst = random_instance(70, nt=4, n=2, num_scenarios=2)
     model, varmap = build_two_stage(inst)
     point = np.zeros(model.num_cols)
-    some_x = next(iter(varmap.x_index.values()))
-    some_y = next(iter(
-        c for (i, k), c in varmap.y_index.items()
-        if model.lb[c] == 0.0 and model.ub[c] == 1.0))
+    some_x = int(varmap.x[varmap.x >= 0][0])
+    free_y = [c for c in varmap.y.ravel()
+              if model.lb[c] == 0.0 and model.ub[c] == 1.0]
+    some_y, later_y = free_y[0], free_y[-1]
     point[some_x] = 0.5
-    point[some_y] = 0.4  # less fractional, still preferred by class
-    assert _branch_candidate(model, varmap, point, 1e-6) == some_y
-    point[some_y] = 0.0
-    assert _branch_candidate(model, varmap, point, 1e-6) == some_x
+    point[some_y] = 0.25  # less fractional, still preferred by class
+    assert _branch_candidate(varmap, point) == some_y
+    point[later_y] = 0.75  # equally fractional: the lower column wins
+    assert _branch_candidate(varmap, point) == some_y
+    point[some_y] = point[later_y] = 0.0
+    assert _branch_candidate(varmap, point) == some_x
     point[some_x] = 0.0
-    assert _branch_candidate(model, varmap, point, 1e-6) is None
+    assert _branch_candidate(varmap, point) is None
 
 
 def test_closed_form_excess_hand_example():

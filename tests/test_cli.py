@@ -108,6 +108,27 @@ def test_solve_time_limit_exit_code(tsp_file, tmp_path):
         assert rc == 0
 
 
+def test_solve_zero_time_limit_writes_strict_json(tsp_file, tmp_path, capsys):
+    # no node closes, so bound and gap are not finite; they must be null
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    gen(tsp_file, tmp_path, "--n", "2", "--f", "1")
+    capsys.readouterr()
+    rc = main(["solve", str(tmp_path / "tiny-2-1.json"),
+               "--time-limit", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    record = json.loads(
+        (tmp_path / "tiny-2-1.stochastic.solution.json").read_text(),
+        parse_constant=reject)
+    assert record["status"] == "time_limit"
+    assert record["bound"] is None and record["gap"] is None
+    printed = capsys.readouterr().out
+    summary = json.loads(printed[:printed.rindex("}") + 1],
+                         parse_constant=reject)
+    assert summary["gap"] is None
+
+
 def test_solve_lp_failure_exit_code(tsp_file, tmp_path, monkeypatch):
     from stochroute import lp
     real = lp.linprog

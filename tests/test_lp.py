@@ -18,8 +18,7 @@ def make_lp(obj, lb, ub, rows):
     n = len(obj)
     return LinearModel(
         obj=np.array(obj, float), lb=np.array(lb, float),
-        ub=np.array(ub, float), is_int=np.zeros(n, bool),
-        col_names=[f"c{i}" for i in range(n)], rows=rows,
+        ub=np.array(ub, float), is_int=np.zeros(n, bool), rows=rows,
     )
 
 

@@ -22,10 +22,10 @@ def test_stochastic_column_and_row_counts():
     # |T|=29, n=5, |Omega|=100: counts recomputed by formula
     inst = make_instance(29, 5, 100)
     model, varmap = build_two_stage(inst)
-    assert count_by_prefix(model.col_names, "x_") == 5 * 30 * 29
-    assert count_by_prefix(model.col_names, "y_") == 29 * 5
-    assert count_by_prefix(model.col_names, "z_") == 5 * 100
-    assert count_by_prefix(model.col_names, "h_") == 5
+    assert np.count_nonzero(varmap.x >= 0) == 5 * 30 * 29
+    assert varmap.y.size == 29 * 5
+    assert varmap.z.size == 5 * 100
+    assert varmap.h.size == 5
     row_names = [r.name for r in model.rows]
     assert count_by_prefix(row_names, "outdeg_") == 29 * 5
     assert count_by_prefix(row_names, "indeg_") == 29 * 5
@@ -37,29 +37,40 @@ def test_stochastic_column_and_row_counts():
 
 
 def test_varmap_covers_every_column_once():
+    # blocks x, y, z, h in this order, each numbered in row-major order:
+    # the branching rule's lowest-column tie-break relies on it
     inst = make_instance(5, 2, 3)
-    for model, varmap in (build_two_stage(inst), build_evp(inst)):
-        cols = (list(varmap.x_index.values()) + list(varmap.y_index.values())
-                + list(varmap.z_index.values()) + list(varmap.h_index.values()))
-        assert sorted(cols) == list(range(model.num_cols))
+    for (model, varmap), num_scen in ((build_two_stage(inst), 3),
+                                      (build_evp(inst), 1)):
+        assert varmap.y.shape == (5, 2)
+        assert varmap.z.shape == (2, num_scen)
+        assert varmap.h.shape == (2,)
+        blocks = [varmap.x[varmap.x >= 0], varmap.y.ravel(),
+                  varmap.z.ravel(), varmap.h]
+        cols = np.concatenate(blocks)
+        assert cols.tolist() == list(range(model.num_cols))
 
 
 def test_no_arcs_to_foreign_depots():
     inst = make_instance(4, 3, 2)
-    _, varmap = build_two_stage(inst)
-    for (k, i, j) in varmap.x_index:
-        for v in (i, j):
-            if v >= inst.num_targets:
-                assert v == inst.depot_vertex(k)
+    nt, n = inst.num_targets, inst.num_vehicles
+    for _, varmap in (build_two_stage(inst), build_evp(inst)):
+        assert varmap.x.shape == (n, nt + n, nt + n)
+        for k in range(n):
+            for u in range(nt + n):
+                for v in range(nt + n):
+                    foreign = any(w >= nt and w != inst.depot_vertex(k)
+                                  for w in (u, v))
+                    assert (varmap.x[k, u, v] == -1) == (u == v or foreign)
 
 
 def test_binary_columns_are_marked():
     inst = make_instance(4, 2, 2, f=1)
     model, varmap = build_two_stage(inst)
-    for col in list(varmap.x_index.values()) + list(varmap.h_index.values()):
+    for col in np.concatenate([varmap.x[varmap.x >= 0], varmap.h]):
         assert model.is_int[col]
         assert model.lb[col] == 0.0 and model.ub[col] == 1.0
-    for (i, k), col in varmap.y_index.items():
+    for (i, k), col in np.ndenumerate(varmap.y):
         assert model.is_int[col]
         pinned_to = next((kk for kk, r in enumerate(inst.required) if i in r),
                          None)
@@ -69,7 +80,7 @@ def test_binary_columns_are_marked():
             assert (model.lb[col], model.ub[col]) == (1.0, 1.0)
         else:
             assert (model.lb[col], model.ub[col]) == (0.0, 0.0)
-    for col in varmap.z_index.values():
+    for col in varmap.z.ravel():
         assert not model.is_int[col]
         assert model.lb[col] == 0.0 and np.isinf(model.ub[col])
 
@@ -77,7 +88,7 @@ def test_binary_columns_are_marked():
 def test_y_appears_in_expected_rows():
     inst = make_instance(5, 2, 4)
     model, varmap = build_two_stage(inst)
-    for (i, k), col in varmap.y_index.items():
+    for (i, k), col in np.ndenumerate(varmap.y):
         in_assign = sum(1 for r in model.rows
                         if r.name.startswith("assign_") and col in r.cols)
         in_service = sum(1 for r in model.rows
@@ -90,23 +101,24 @@ def test_objective_coefficients():
     inst = make_instance(3, 2, 4)
     model, varmap = build_two_stage(inst)
     cost = {k: vehicle_cost_matrix(inst, k) for k in range(2)}
-    for (k, i, j), col in varmap.x_index.items():
-        assert model.obj[col] == pytest.approx(cost[k][i, j])
-    for (k, w), col in varmap.z_index.items():
+    for (k, i, j), col in np.ndenumerate(varmap.x):
+        if col >= 0:
+            assert model.obj[col] == pytest.approx(cost[k][i, j])
+    for (k, w), col in np.ndenumerate(varmap.z):
         assert model.obj[col] == pytest.approx(
             inst.scenarios.prob[w] * inst.vehicles[k].gamma)
     evp_model, evp_map = build_evp(inst)
-    assert sorted(evp_map.z_index) == [(0, 0), (1, 0)]
-    for (k, w), col in evp_map.z_index.items():
+    assert evp_map.z.shape == (2, 1)
+    for (k, w), col in np.ndenumerate(evp_map.z):
         assert evp_model.obj[col] == pytest.approx(inst.vehicles[k].gamma)
 
 
 def test_evp_z_column_count():
     inst = make_instance(8, 2, 100)
-    stoch, _ = build_two_stage(inst)
-    evp, _ = build_evp(inst)
-    assert count_by_prefix(stoch.col_names, "z_") == 200
-    assert count_by_prefix(evp.col_names, "z_") == 2
+    _, stoch = build_two_stage(inst)
+    _, evp = build_evp(inst)
+    assert stoch.z.size == 200
+    assert evp.z.size == 2
 
 
 def test_single_scenario_models_agree_at_optimum():

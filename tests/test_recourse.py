@@ -87,15 +87,16 @@ def test_closed_form_matches_lp_with_frozen_first_stage():
         sol = solve(inst, SolveParams())
         model, varmap = build_two_stage(inst)
         lb, ub = model.lb.copy(), model.ub.copy()
-        for (k, u, v), col in varmap.x_index.items():
+        for (k, u, v), col in np.ndenumerate(varmap.x):
+            if col < 0:
+                continue
             val = 0.0
             tour = sol.tours[k]
             if any((a, b) == (u, v) for a, b in zip(tour, tour[1:])):
                 val = 1.0
             lb[col] = ub[col] = val
-        for (i, k), col in varmap.y_index.items():
-            lb[col] = ub[col] = sol.assignment[i, k]
-        for k, col in varmap.h_index.items():
+        lb[varmap.y] = ub[varmap.y] = sol.assignment
+        for k, col in enumerate(varmap.h):
             lb[col] = ub[col] = 1.0 if sol.tours[k] else 0.0
         frozen = dataclasses.replace(model, lb=lb, ub=ub,
                                      is_int=np.zeros_like(model.is_int))
@@ -104,7 +105,7 @@ def test_closed_form_matches_lp_with_frozen_first_stage():
         closed = evaluate_fixed_first_stage(inst, sol.tours, sol.assignment)
         assert lp.objective == pytest.approx(closed, abs=1e-9 * max(1, closed))
         excess, _ = second_stage(inst, sol.assignment)
-        for (k, w), col in varmap.z_index.items():
+        for (k, w), col in np.ndenumerate(varmap.z):
             assert lp.primal[col] == pytest.approx(excess[k, w], abs=1e-7)
 
 

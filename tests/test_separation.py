@@ -4,7 +4,7 @@ import pytest
 from stochroute import SolveParams, build_two_stage
 from stochroute.oracle import brute_force_min_cut, brute_force_solve
 from stochroute.separation import (Cut, SupportGraph, build_support_graph,
-                                   cut_row, cut_violation, max_flow,
+                                   cut_row, max_flow,
                                    separate_fractional, separate_integer,
                                    tarjan_scc)
 from tests.conftest import random_instance
@@ -140,7 +140,8 @@ class TestFractionalSeparation:
         for k in range(inst.num_vehicles):
             g = build_support_graph(inst, varmap, point, k, eps=1e-7)
             for cut in separate_fractional(g, violation_tol=1e-4):
-                assert cut_violation(cut, inst, varmap, point) > 1e-4
+                row = cut_row(cut, inst, varmap)
+                assert -np.dot(row.coefs, point[row.cols]) > 1e-4
 
 
 def test_support_graph_from_integer_point(tiny_instance):
@@ -151,9 +152,8 @@ def test_support_graph_from_integer_point(tiny_instance):
     point = np.zeros(model.num_cols)
     for k, tour in enumerate(sol.tours):
         for u, v in zip(tour, tour[1:]):
-            point[varmap.x_index[(k, u, v)]] = 1.0
-    for (i, k), col in varmap.y_index.items():
-        point[col] = sol.assignment[i, k]
+            point[varmap.x[k, u, v]] = 1.0
+    point[varmap.y] = sol.assignment
     for k, tour in enumerate(sol.tours):
         g = build_support_graph(inst, varmap, point, k, eps=0.5)
         if tour:
@@ -172,9 +172,8 @@ def test_cuts_valid_at_oracle_optimum():
         point = np.zeros(model.num_cols)
         for k, tour in enumerate(orc.tours):
             for u, v in zip(tour, tour[1:]):
-                point[varmap.x_index[(k, u, v)]] = 1.0
-        for (i, k), col in varmap.y_index.items():
-            point[col] = orc.assignment[i, k]
+                point[varmap.x[k, u, v]] = 1.0
+        point[varmap.y] = orc.assignment
         from stochroute.lp import LpWorkspace
         frac = LpWorkspace(model).solve().primal
         cuts = []
