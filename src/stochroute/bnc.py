@@ -33,7 +33,6 @@ FRAC_EVERY = 10  # ... and at every FRAC_EVERY-th node below
 class SolveParams:
     time_limit_s: float = 3600.0
     rel_gap: float = 1e-6
-    cuts_per_component: str = "one"  # "one" | "all"
     node_log: int = 0  # log every N nodes; 0 disables
 
 
@@ -123,6 +122,11 @@ def greedy_incumbent(instance: Instance, cost_matrices):
 
 
 def _extract_tours(instance: Instance, varmap, point):
+    """Each vehicle's tour at an integer point, by following its arcs.
+
+    Raises SolveError when a vehicle's walk from its depot hits a vertex
+    without a successor or does not come back within |T|+1 arcs.
+    """
     tours = []
     for k in range(instance.num_vehicles):
         d = instance.depot_vertex(k)
@@ -133,11 +137,16 @@ def _extract_tours(instance: Instance, varmap, point):
             tours.append([])
             continue
         tour = [d]
-        cur = succ[d]
-        while cur != d:
-            tour.append(cur)
-            cur = succ[cur]
-        tour.append(d)
+        for _ in range(instance.num_targets + 1):
+            if tour[-1] not in succ:
+                raise SolveError(
+                    f"vehicle {k}: vertex {tour[-1]} has no successor")
+            tour.append(succ[tour[-1]])
+            if tour[-1] == d:
+                break
+        else:
+            raise SolveError(f"vehicle {k}: walk from depot {d} does not "
+                             f"return within {instance.num_targets + 1} arcs")
         tours.append(tour)
     return tours
 
@@ -273,8 +282,7 @@ def solve(instance: Instance, params: SolveParams = None,
                 for k in range(instance.num_vehicles):
                     sg = separation.build_support_graph(
                         instance, varmap, point, k, eps=0.5)
-                    cuts.extend(separation.separate_integer(
-                        sg, params.cuts_per_component))
+                    cuts.extend(separation.separate_integer(sg))
                 if add_cuts(cuts):
                     continue
                 # accepted: recompute the objective exactly
@@ -301,7 +309,7 @@ def solve(instance: Instance, params: SolveParams = None,
                     sg = separation.build_support_graph(
                         instance, varmap, point, k, eps=1e-7)
                     cuts.extend(separation.separate_fractional(
-                        sg, VIOLATION_TOL, params.cuts_per_component))
+                        sg, VIOLATION_TOL))
                 if add_cuts(cuts):
                     continue
             # branch

@@ -41,15 +41,12 @@ def _add_gen_flags(p):
 def _add_solver_flags(p):
     p.add_argument("--time-limit", type=float, default=3600.0)
     p.add_argument("--gap", type=float, default=1e-6)
-    p.add_argument("--cuts-per-component", choices=("one", "all"),
-                   default="one")
     p.add_argument("--node-log", type=int, default=0)
 
 
 def _solver_params(args) -> bnc.SolveParams:
     return bnc.SolveParams(
-        time_limit_s=args.time_limit, rel_gap=args.gap,
-        cuts_per_component=args.cuts_per_component, node_log=args.node_log,
+        time_limit_s=args.time_limit, rel_gap=args.gap, node_log=args.node_log,
     )
 
 

@@ -100,8 +100,11 @@ def _degree_rows(arcs, link, names):
 
 
 def build_two_stage(instance: Instance):
-    """Two-stage stochastic MILP with per-scenario excess variables."""
-    instance.validate()
+    """Two-stage stochastic MILP with per-scenario excess variables.
+
+    The instance is taken as valid: `bnc.solve` validates it once, before
+    building either model.
+    """
     nt, n = instance.num_targets, instance.num_vehicles
     num_scen = instance.scenarios.num_scenarios
     tau, prob = instance.scenarios.tau, instance.scenarios.prob

@@ -6,17 +6,22 @@ A cut (vehicle k, set S of targets, anchor i in S) stands for the row
 
 Integer points are screened with strongly connected components of the
 per-vehicle support graph; fractional points additionally get minimum
-depot-to-target cuts on the capacitated support graph.
+depot-to-target cuts on the capacitated support graph. Those come from one
+`FlowNetwork` per support graph, probed once per candidate target i by
+`max_flow`, which uses shortest augmenting paths (Edmonds & Karp 1972) and
+stops as soon as the flow shows that no cut for i is violated.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Row
+
+_RESIDUAL_EPS = 1e-12  # residual capacity that still carries flow
 
 
 @dataclass(frozen=True)
@@ -103,88 +108,79 @@ def tarjan_scc(vertices, adjacency):
     return sccs
 
 
-class _Dinic:
-    def __init__(self, vertices):
-        self.ids = {v: i for i, v in enumerate(sorted(vertices))}
-        self.n = len(self.ids)
-        self.graph = [[] for _ in range(self.n)]  # [to, cap, rev_index]
+class FlowNetwork:
+    """Residual network of a capacitated digraph with a fixed source.
 
-    def add_arc(self, u, v, cap):
-        u, v = self.ids[u], self.ids[v]
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0.0, len(self.graph[u]) - 1])
+    Built once per support graph and shared by every sink probed on it. Arc
+    e is the pair 2e (forward, its capacity) and 2e+1 (backward, 0) in the
+    flat lists `head` and `cap`; `adj[v]` lists the arcs leaving vertex v,
+    and vertices are numbered in sorted id order.
+    """
 
-    def _bfs(self, s, t):
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for e in self.graph[v]:
-                if e[1] > 1e-12 and self.level[e[0]] < 0:
-                    self.level[e[0]] = self.level[v] + 1
-                    q.append(e[0])
-        return self.level[t] >= 0
-
-    def _dfs(self, v, t, f):
-        if v == t:
-            return f
-        while self.it[v] < len(self.graph[v]):
-            e = self.graph[v][self.it[v]]
-            if e[1] > 1e-12 and self.level[v] < self.level[e[0]]:
-                d = self._dfs(e[0], t, min(f, e[1]))
-                if d > 0:
-                    e[1] -= d
-                    self.graph[e[0]][e[2]][1] += d
-                    return d
-            self.it[v] += 1
-        return 0.0
-
-    def max_flow(self, s, t):
-        s, t = self.ids[s], self.ids[t]
-        flow = 0.0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, float("inf"))
-                if f <= 0:
-                    break
-                flow += f
-        # source side = residual-reachable set
-        reach = {s}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for e in self.graph[v]:
-                if e[1] > 1e-12 and e[0] not in reach:
-                    reach.add(e[0])
-                    q.append(e[0])
-        names = {i: v for v, i in self.ids.items()}
-        sink_side = {names[i] for i in range(self.n) if i not in reach}
-        return flow, sink_side
+    def __init__(self, vertices, arcs, source):
+        self.names = sorted(set(vertices) | {source})
+        self.index = index = {v: i for i, v in enumerate(self.names)}
+        self.source = index[source]
+        self.head, self.cap = [], []
+        self.adj = [[] for _ in self.names]
+        for (u, v), c in sorted(arcs.items()):
+            if c < 0:
+                raise ValueError("capacities must be non-negative")
+            u, v = index[u], index[v]
+            self.adj[u].append(len(self.head))
+            self.adj[v].append(len(self.head) + 1)
+            self.head += (v, u)
+            self.cap += (c, 0.0)
 
 
-def max_flow(vertices, arcs, s, t):
-    """Max s-t flow value and a minimum cut's sink side (contains t)."""
-    dinic = _Dinic(set(vertices) | {s, t})
-    for (u, v), cap in arcs.items():
-        if cap < 0:
-            raise ValueError("capacities must be non-negative")
-        dinic.add_arc(u, v, cap)
-    return dinic.max_flow(s, t)
+def max_flow(net: FlowNetwork, t, need=math.inf):
+    """Max flow from the network's source to t, by shortest augmenting paths.
+
+    Returns (value, sink side). The sink side is the set of vertices the
+    source cannot reach in the final residual graph: the largest sink side
+    of any minimum cut, the same set for every maximum flow. Once the flow
+    reaches `need` it stops and returns (value, None) instead.
+    """
+    s, t = net.source, net.index[t]
+    head, adj, cap = net.head, net.adj, net.cap.copy()
+    value = 0.0
+    while value < need:
+        pred = [-1] * len(adj)  # the arc that reached each vertex
+        pred[s] = -2
+        queue = [s]
+        for v in queue:
+            for a in adj[v]:
+                w = head[a]
+                if pred[w] == -1 and cap[a] > _RESIDUAL_EPS:
+                    pred[w] = a
+                    queue.append(w)
+            if pred[t] != -1:
+                break
+        else:  # t is unreachable: the flow is maximum
+            return value, {net.names[v] for v, a in enumerate(pred) if a == -1}
+        f, v = math.inf, t
+        while v != s:
+            a = pred[v]
+            if cap[a] < f:
+                f = cap[a]
+            v = head[a ^ 1]
+        v = t
+        while v != s:
+            a = pred[v]
+            cap[a] -= f
+            cap[a ^ 1] += f
+            v = head[a ^ 1]
+        value += f
+    return value, None
 
 
-def _component_cuts(sg: SupportGraph, component, cuts_per_component: str):
-    """Cuts for one depot-free strongly connected component."""
-    s = frozenset(v for v in component if v != sg.depot)
-    targets = sorted(s)
-    if not targets:
-        return []
-    if cuts_per_component == "all":
-        anchors = targets
-    else:
-        anchors = [max(targets, key=lambda i: (sg.y.get(i, 0.0), -i))]
-    return [Cut(vehicle=sg.vehicle, set_S=s, anchor=a) for a in anchors]
+def _subtour_cuts(sg: SupportGraph, sccs):
+    """One cut per depot-free strongly connected component of two or more
+    vertices, anchored at its target with the largest y (ties to the lowest
+    id)."""
+    return [Cut(vehicle=sg.vehicle, set_S=s,
+                anchor=max(s, key=lambda i: (sg.y.get(i, 0.0), -i)))
+            for s in map(frozenset, sccs) if sg.depot not in s and len(s) >= 2]
 
 
 def _support_violation(sg: SupportGraph, cut: Cut) -> float:
@@ -194,63 +190,43 @@ def _support_violation(sg: SupportGraph, cut: Cut) -> float:
     return sg.y.get(cut.anchor, 0.0) - crossing
 
 
-def separate_integer(sg: SupportGraph, cuts_per_component: str = "one"):
+def _strong_components(sg: SupportGraph):
+    adjacency = {}
+    for (u, v) in sg.arcs:
+        adjacency.setdefault(u, []).append(v)
+    return tarjan_scc(sg.vertices, adjacency)
+
+
+def separate_integer(sg: SupportGraph):
     """SCC screening of an integer point; empty iff one depot-anchored tour.
 
     Singleton components are skipped: a visited target at an integer
     degree-feasible point always sits on a cycle of length >= 2.
     """
-    adjacency = {}
-    for (u, v) in sg.arcs:
-        adjacency.setdefault(u, []).append(v)
-    cuts = []
-    for comp in tarjan_scc(sg.vertices, adjacency):
-        if sg.depot not in comp and len(comp) >= 2:
-            cuts.extend(_component_cuts(sg, comp, cuts_per_component))
-    return cuts
+    return _subtour_cuts(sg, _strong_components(sg))
 
 
-def separate_fractional(sg: SupportGraph, violation_tol: float = 1e-4,
-                        cuts_per_component: str = "one"):
+def separate_fractional(sg: SupportGraph, violation_tol: float = 1e-4):
     """Min-cut separation at a (possibly fractional) point.
 
     Depot-free strongly connected components yield SCC cuts (kept only when
     actually violated at the point); targets with positive y inside the
-    depot's component are probed with a minimum depot-to-target cut, emitted
-    when its capacity falls short of y by more than violation_tol.
+    depot's component are probed with a minimum depot-to-target cut on one
+    residual network, emitted when its capacity falls short of y by more
+    than violation_tol.
     """
-    adjacency = {}
-    for (u, v) in sg.arcs:
-        adjacency.setdefault(u, []).append(v)
-    sccs = tarjan_scc(sg.vertices, adjacency)
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    cuts = []
-    seen = set()
-    for comp in sccs:
-        if sg.depot in comp or len(comp) < 2:
-            continue
-        for cut in _component_cuts(sg, comp, cuts_per_component):
-            key = (cut.vehicle, cut.set_S, cut.anchor)
-            if key not in seen and _support_violation(sg, cut) > violation_tol:
-                seen.add(key)
-                cuts.append(cut)
-    depot_comp = comp_of.get(sg.depot)
-    candidates = sorted(
-        (i for i in sg.y if comp_of.get(i) == depot_comp),
-        key=lambda i: (-sg.y[i], i),
-    )
+    sccs = _strong_components(sg)
+    cuts = [cut for cut in _subtour_cuts(sg, sccs)
+            if _support_violation(sg, cut) > violation_tol]
+    depot_comp = next(comp for comp in sccs if sg.depot in comp)
+    candidates = sorted((i for i in depot_comp if i in sg.y),
+                        key=lambda i: (-sg.y[i], i))
+    net = FlowNetwork(sg.vertices, sg.arcs, sg.depot)
     for i in candidates:
-        value, sink_side = max_flow(sg.vertices, sg.arcs, sg.depot, i)
-        if value < sg.y[i] - violation_tol:
-            s = frozenset(v for v in sink_side if v != sg.depot)
-            if i in s:
-                key = (sg.vehicle, s, i)
-                if key not in seen:
-                    seen.add(key)
-                    cuts.append(Cut(vehicle=sg.vehicle, set_S=s, anchor=i))
+        _, sink_side = max_flow(net, i, need=sg.y[i] - violation_tol)
+        if sink_side is not None:
+            cuts.append(Cut(vehicle=sg.vehicle, set_S=frozenset(sink_side),
+                            anchor=i))
     return cuts
 
 

@@ -21,8 +21,9 @@ from stochroute.lp import LpWorkspace
 from stochroute.model import Row, build_two_stage, second_stage
 from stochroute.oracle import brute_force_min_cut, brute_force_solve
 from stochroute.recourse import compute_vss, expected_penalty
-from stochroute.separation import (build_support_graph, cut_row, max_flow,
-                                   separate_fractional, separate_integer)
+from stochroute.separation import (FlowNetwork, build_support_graph, cut_row,
+                                   max_flow, separate_fractional,
+                                   separate_integer)
 from stochroute.tsplib import parse_tsplib
 from tests.conftest import random_instance
 
@@ -147,7 +148,7 @@ def test_criterion_5_separation_correctness(capsys):
         arcs = {(u, v): float(rng.uniform(0, 1))
                 for u in range(nv) for v in range(nv)
                 if u != v and rng.random() < 0.35}
-        got, _ = max_flow(vertices, arcs, 0, nv - 1)
+        got, _ = max_flow(FlowNetwork(vertices, arcs, 0), nv - 1)
         ref, _ = brute_force_min_cut(vertices, arcs, 0, nv - 1)
         if abs(got - ref) > 1e-9:
             flow_errors += 1

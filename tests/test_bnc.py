@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochroute import SolveParams, lp, solve
-from stochroute.bnc import SolveError, _branch_candidate, greedy_incumbent
+from stochroute.bnc import (SolveError, _branch_candidate, _extract_tours,
+                            greedy_incumbent)
+from stochroute.instance import InstanceError
 from stochroute.model import (build_two_stage, expected_value_instance,
                               second_stage, vehicle_cost_matrix,
                               vehicle_vertices)
@@ -69,13 +72,6 @@ def test_reported_objective_is_reproducible():
         sol = solve(inst, SolveParams())
         again = evaluate_fixed_first_stage(inst, sol.tours, sol.assignment)
         assert sol.objective == pytest.approx(again, rel=1e-9)
-
-
-def test_cuts_per_component_modes_agree():
-    inst = random_instance(50, nt=6, n=2, num_scenarios=2, f=1)
-    one = solve(inst, SolveParams(cuts_per_component="one"))
-    all_ = solve(inst, SolveParams(cuts_per_component="all"))
-    assert one.objective == pytest.approx(all_.objective, rel=1e-6)
 
 
 def test_time_limit_returns_feasible_with_bound():
@@ -239,3 +235,49 @@ def test_determinism():
     assert a.tours == b.tours
     assert np.array_equal(a.assignment, b.assignment)
     assert a.stats["nodes"] == b.stats["nodes"]
+
+
+def _arc_point(model, varmap, k, arcs):
+    point = np.zeros(model.num_cols)
+    for u, v in arcs:
+        point[varmap.x[k, u, v]] = 1.0
+    return point
+
+
+def test_extract_tours_follows_arcs_from_depot():
+    inst = random_instance(74, nt=4, n=2, num_scenarios=1)
+    model, varmap = build_two_stage(inst)
+    d = inst.depot_vertex(1)
+    point = _arc_point(model, varmap, 1, [(d, 2), (2, 0), (0, d)])
+    assert _extract_tours(inst, varmap, point) == [[], [d, 2, 0, d]]
+
+
+def test_extract_tours_rejects_missing_successor():
+    inst = random_instance(74, nt=4, n=2, num_scenarios=1)
+    model, varmap = build_two_stage(inst)
+    d = inst.depot_vertex(1)
+    point = _arc_point(model, varmap, 1, [(d, 2), (2, 0)])
+    with pytest.raises(SolveError, match="vehicle 1: vertex 0 has no succ"):
+        _extract_tours(inst, varmap, point)
+
+
+def test_extract_tours_rejects_cycle_away_from_depot():
+    inst = random_instance(74, nt=4, n=2, num_scenarios=1)
+    model, varmap = build_two_stage(inst)
+    d = inst.depot_vertex(0)
+    point = _arc_point(model, varmap, 0, [(d, 1), (1, 3), (3, 1)])
+    with pytest.raises(SolveError, match="vehicle 0: walk from depot"):
+        _extract_tours(inst, varmap, point)
+
+
+@pytest.mark.parametrize("model_kind", ["stochastic", "evp"])
+def test_solve_rejects_invalid_scenarios(model_kind):
+    # one negative service time whose scenario mean is still non-negative:
+    # the mean-value instance alone would pass validation
+    inst = random_instance(75, nt=4, n=2, num_scenarios=2)
+    tau = inst.scenarios.tau.copy()
+    tau[0, 0] = [-1.0, tau[0, 0, 1] + 10.0]
+    bad = replace(inst, scenarios=replace(inst.scenarios, tau=tau))
+    assert expected_value_instance(bad).scenarios.tau.min() >= 0
+    with pytest.raises(InstanceError, match="non-negative"):
+        solve(bad, SolveParams(), model_kind)

@@ -3,8 +3,8 @@ import pytest
 
 from stochroute import SolveParams, build_two_stage
 from stochroute.oracle import brute_force_min_cut, brute_force_solve
-from stochroute.separation import (Cut, SupportGraph, build_support_graph,
-                                   cut_row, max_flow,
+from stochroute.separation import (Cut, FlowNetwork, SupportGraph,
+                                   build_support_graph, cut_row, max_flow,
                                    separate_fractional, separate_integer,
                                    tarjan_scc)
 from tests.conftest import random_instance
@@ -36,25 +36,37 @@ class TestTarjan:
         assert len(comps) == 1 and len(comps[0]) == n
 
 
+def random_graph(rng, density=0.4):
+    nv = int(rng.integers(3, 9))
+    arcs = {(u, v): float(rng.uniform(0, 1))
+            for u in range(nv) for v in range(nv)
+            if u != v and rng.random() < density}
+    return set(range(nv)), arcs
+
+
+def cut_capacity(arcs, sink):
+    return sum(w for (u, v), w in arcs.items() if u not in sink and v in sink)
+
+
 class TestMaxFlow:
     def test_single_arc(self):
-        value, sink = max_flow({0, 1}, {(0, 1): 3.0}, 0, 1)
+        value, sink = max_flow(FlowNetwork({0, 1}, {(0, 1): 3.0}, 0), 1)
         assert value == pytest.approx(3.0)
         assert sink == {1}
 
     def test_parallel_paths(self):
         arcs = {(0, 1): 1.0, (1, 3): 2.0, (0, 2): 2.0, (2, 3): 1.0}
-        value, sink = max_flow({0, 1, 2, 3}, arcs, 0, 3)
+        value, sink = max_flow(FlowNetwork({0, 1, 2, 3}, arcs, 0), 3)
         assert value == pytest.approx(2.0)
 
     def test_disconnected_sink(self):
-        value, sink = max_flow({0, 1, 2}, {(0, 1): 5.0}, 0, 2)
+        value, sink = max_flow(FlowNetwork({0, 1, 2}, {(0, 1): 5.0}, 0), 2)
         assert value == 0.0
         assert sink == {2}
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            max_flow({0, 1}, {(0, 1): -1.0}, 0, 1)
+            FlowNetwork({0, 1}, {(0, 1): -1.0}, 0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(0)
@@ -66,13 +78,51 @@ class TestMaxFlow:
                 for v in range(nv):
                     if u != v and rng.random() < 0.4:
                         arcs[(u, v)] = float(rng.uniform(0, 1))
-            value, sink = max_flow(vertices, arcs, 0, nv - 1)
+            value, sink = max_flow(FlowNetwork(vertices, arcs, 0), nv - 1)
             ref_value, _ = brute_force_min_cut(vertices, arcs, 0, nv - 1)
             assert value == pytest.approx(ref_value, abs=1e-9)
             # the returned sink side must realize the min-cut value
             crossing = sum(w for (u, v), w in arcs.items()
                            if u not in sink and v in sink)
             assert crossing == pytest.approx(value, abs=1e-9)
+
+    def test_reused_network_matches_fresh_per_sink(self):
+        # max_flow works on a copy of the capacities, so one network
+        # answers every sink exactly as a new network would
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            vertices, arcs = random_graph(rng)
+            shared = FlowNetwork(vertices, arcs, 0)
+            for t in sorted(vertices - {0}):
+                value, sink = max_flow(shared, t)
+                assert (value, sink) == max_flow(
+                    FlowNetwork(vertices, arcs, 0), t)
+                ref_value, _ = brute_force_min_cut(vertices, arcs, 0, t)
+                assert value == pytest.approx(ref_value, abs=1e-9)
+                assert t in sink and 0 not in sink
+                assert cut_capacity(arcs, sink) == pytest.approx(value,
+                                                                 abs=1e-9)
+
+    def test_need_stops_early_or_returns_the_min_cut(self):
+        rng = np.random.default_rng(2)
+        stopped = cut = 0
+        for _ in range(300):
+            vertices, arcs = random_graph(rng)
+            net = FlowNetwork(vertices, arcs, 0)
+            for t in sorted(vertices - {0}):
+                ref_value, _ = brute_force_min_cut(vertices, arcs, 0, t)
+                need = float(rng.uniform(0, 1.5))
+                value, sink = max_flow(net, t, need=need)
+                if sink is None:
+                    stopped += 1
+                    assert value >= need
+                else:
+                    cut += 1
+                    assert value < need
+                    assert value == pytest.approx(ref_value, abs=1e-9)
+                    assert cut_capacity(arcs, sink) == pytest.approx(value,
+                                                                 abs=1e-9)
+        assert stopped and cut  # both outcomes were exercised
 
 
 class TestIntegerSeparation:
@@ -97,12 +147,6 @@ class TestIntegerSeparation:
         assert {c.set_S for c in cuts} == {frozenset({1, 2}),
                                            frozenset({3, 4})}
 
-    def test_all_anchor_mode(self):
-        g = sg(depot=9, arcs={(9, 0): 1, (0, 9): 1, (1, 2): 1, (2, 1): 1},
-               y={0: 1.0, 1: 1.0, 2: 1.0})
-        cuts = separate_integer(g, cuts_per_component="all")
-        assert {c.anchor for c in cuts} == {1, 2}
-
     def test_anchor_prefers_largest_y(self):
         g = sg(depot=9, arcs={(1, 2): 1, (2, 1): 1},
                y={1: 0.6, 2: 0.9})
@@ -126,7 +170,7 @@ class TestFractionalSeparation:
         arcs = {(d, a): 0.5, (a, d): 0.5, (a, b): 0.5, (b, a): 0.5,
                 (b, c): 1.0, (c, b): 1.0}
         y = {a: 0.5, b: 1.0, c: 1.0}
-        value, _ = max_flow({d, a, b, c}, arcs, d, c)
+        value, _ = max_flow(FlowNetwork({d, a, b, c}, arcs, d), c)
         ref_value, _ = brute_force_min_cut({d, a, b, c}, arcs, d, c)
         assert value == pytest.approx(0.5) == pytest.approx(ref_value)
         cuts = separate_fractional(sg(depot=d, arcs=arcs, y=y))
